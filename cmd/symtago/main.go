@@ -30,11 +30,11 @@
 //	                 [-remote-cache url]
 //	                 [-workers-addr urls] [-shard n] [-pipeline-depth n]
 //	                 [-shard-timeout d]
-//	                 [-metrics-window d] [-trace-sample f] [-trace-buffer n]
+//	                 [-trace-sample f] [-trace-buffer n]
 //	                 [-flight n] [-pprof-addr host:port]
 //	                 [-selftest [-clients n] [-revisions n] [-seed n] [-tenants n]]
 //	symtago worker   [-addr host:port] [-workers n] [-cache-dir dir]
-//	                 [-cache-bytes n] [-remote-cache url] [-corpus-cache n]
+//	                 [-cache-bytes n] [-remote-cache url]
 //	                 [-pprof-addr host:port]
 //	symtago cacheserver [-addr host:port] -cache-dir dir [-cache-bytes n]
 //	                 [-pprof-addr host:port]

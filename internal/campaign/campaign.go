@@ -272,27 +272,14 @@ func Run(corpus *scenario.Corpus, cfg Config) (*Report, error) {
 	return j.Run(context.Background())
 }
 
-// RunShard executes scenarios [start, start+count) of the corpus and
-// returns their rows in index order. It is the worker-side unit of
-// distributed execution: a shard computed here is byte-identical to
-// the same indices computed by a local Run, because every scenario is
-// independent (private session store, deterministic pipeline). On
-// context cancellation the partial shard is discarded and the context
-// error returned — shards are retried whole.
-func RunShard(ctx context.Context, corpus *scenario.Corpus, cfg Config, start, count int) ([]ScenarioResult, error) {
-	if start < 0 || count <= 0 || start+count > len(corpus.Scenarios) {
-		return nil, fmt.Errorf("campaign: shard [%d,%d) outside corpus of %d",
-			start, start+count, len(corpus.Scenarios))
-	}
-	return RunScenarios(ctx, corpus.Scenarios[start:start+count], cfg)
-}
-
 // RunScenarios executes an already-generated slice of scenarios —
-// typically one drawn by scenario.GenerateRange on a streamed-protocol
-// worker — and returns their rows in slice order. Semantics match
-// RunShard (it is RunShard's body): rows are byte-identical to a local
-// Run of the same indices, and on context cancellation the partial
-// slice is discarded.
+// typically one drawn by scenario.GenerateRange on a shard worker — and
+// returns their rows in slice order. It is the worker-side unit of
+// distributed execution: rows are byte-identical to a local Run of the
+// same indices, because every scenario is independent (private session
+// store, deterministic pipeline). On context cancellation the partial
+// slice is discarded and the context error returned — shards are
+// retried whole.
 func RunScenarios(ctx context.Context, scs []scenario.Scenario, cfg Config) ([]ScenarioResult, error) {
 	if len(scs) == 0 {
 		return nil, fmt.Errorf("campaign: empty scenario slice")

@@ -6,15 +6,17 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/scenario"
 	"repro/internal/whatif"
 )
 
-// TestRunShardFoldsIdentical rebuilds a campaign from shards: the
-// corpus travels as a CorpusRef, each shard is computed by RunShard
-// (through the WireRow transport encoding, as the distributed protocol
-// ships it), rows are installed out of dispatch order, and the folded
-// report must be byte-identical to a plain local Run.
-func TestRunShardFoldsIdentical(t *testing.T) {
+// TestRunScenariosFoldsIdentical rebuilds a campaign from shards: the
+// corpus travels as a CorpusRef, each shard's slice is drawn by
+// ResolveRange and computed by RunScenarios (through the WireRow
+// transport encoding, as the distributed protocol ships it), shards are
+// installed out of dispatch order with their partial fingerprints, and
+// the folded report must be byte-identical to a plain local Run.
+func TestRunScenariosFoldsIdentical(t *testing.T) {
 	corpus := jobCorpus(t)
 	cfg := Config{Workers: 2, Seeds: 1, Duration: 50e6}
 	want, err := Run(corpus, cfg)
@@ -26,9 +28,17 @@ func TestRunShardFoldsIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := ref.Resolve()
-	if err != nil {
-		t.Fatal(err)
+	shard := func(start, count int) ([]ScenarioResult, scenario.Partial) {
+		t.Helper()
+		scs, partial, err := ref.ResolveRange(start, count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := RunScenarios(context.Background(), scs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows, partial
 	}
 
 	j, err := NewJob(corpus, cfg)
@@ -47,10 +57,7 @@ func TestRunShardFoldsIdentical(t *testing.T) {
 	// the wire encoding.
 	for i := len(ranges) - 1; i >= 0; i-- {
 		r := ranges[i]
-		rows, err := RunShard(context.Background(), remote, cfg, r.Start, r.Count)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rows, partial := shard(r.Start, r.Count)
 		wired := make([]ScenarioResult, len(rows))
 		for k := range rows {
 			w := NewWireRow(&rows[k])
@@ -58,7 +65,7 @@ func TestRunShardFoldsIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := j.InstallRows(wired); err != nil {
+		if err := j.InstallShard(wired, partial); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,26 +82,33 @@ func TestRunShardFoldsIdentical(t *testing.T) {
 
 	// Duplicate installs (a retried shard that completed twice) are
 	// ignored, not double-counted.
-	rows, err := RunShard(context.Background(), remote, cfg, ranges[0].Start, ranges[0].Count)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.InstallRows(rows); err != nil {
+	rows, partial := shard(ranges[0].Start, ranges[0].Count)
+	if err := j.InstallShard(rows, partial); err != nil {
 		t.Fatal(err)
 	}
 	if done, tot := j.Progress(); done != tot {
 		t.Fatalf("duplicate install corrupted progress: %d/%d", done, tot)
 	}
-	if _, err := RunShard(context.Background(), remote, cfg, total-2, 5); err == nil {
+	again, err := j.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canonical(t, again) != canonical(t, want) {
+		t.Fatal("duplicate shard install changed the report")
+	}
+	if _, _, err := ref.ResolveRange(total-2, 5); err == nil {
 		t.Fatal("out-of-range shard accepted")
+	}
+	if _, err := RunScenarios(context.Background(), nil, cfg); err == nil {
+		t.Fatal("empty shard accepted")
 	}
 }
 
-// TestRunShardSharedCacheIdentical runs the shards over a shared disk
+// TestRunScenariosSharedCacheIdentical runs the shards over a shared disk
 // level twice: rows — cache counters included — must be identical to
 // the private-store run both cold and warm, and the warm pass must be
 // served predominantly from the disk level.
-func TestRunShardSharedCacheIdentical(t *testing.T) {
+func TestRunScenariosSharedCacheIdentical(t *testing.T) {
 	corpus := jobCorpus(t)
 	base := Config{Workers: 2, Seeds: 1, Duration: 50e6}
 	want, err := Run(corpus, base)
@@ -109,7 +123,7 @@ func TestRunShardSharedCacheIdentical(t *testing.T) {
 	shared := base
 	shared.Cache = disk
 	for pass, name := range []string{"cold", "warm"} {
-		rows, err := RunShard(context.Background(), corpus, shared, 0, len(corpus.Scenarios))
+		rows, err := RunScenarios(context.Background(), corpus.Scenarios, shared)
 		if err != nil {
 			t.Fatal(err)
 		}

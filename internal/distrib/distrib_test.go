@@ -2,9 +2,13 @@ package distrib
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -76,23 +80,46 @@ func TestDistribMatchesLocal(t *testing.T) {
 }
 
 // killableWorker is a worker whose handler starts failing on demand,
-// simulating a worker lost mid-campaign.
+// simulating a worker lost mid-campaign. rejected closes when the
+// killed worker first refuses a shard.
 type killableWorker struct {
-	h      http.Handler
-	killed atomic.Bool
+	h        http.Handler
+	killed   atomic.Bool
+	rejected chan struct{}
+	once     sync.Once
+}
+
+func newKillableWorker(cfg WorkerConfig) *killableWorker {
+	return &killableWorker{h: NewWorker(cfg).Handler(), rejected: make(chan struct{})}
 }
 
 func (k *killableWorker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	if k.killed.Load() {
+		k.once.Do(func() { close(k.rejected) })
 		http.Error(rw, "worker killed", http.StatusInternalServerError)
 		return
 	}
 	k.h.ServeHTTP(rw, r)
 }
 
+// heldUntil serves h only once gate has closed (or the request is
+// abandoned), pinning which worker gets asked first.
+func heldUntil(gate <-chan struct{}, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		select {
+		case <-gate:
+			h.ServeHTTP(rw, r)
+		case <-r.Context().Done():
+		}
+	})
+}
+
 // TestDistribSurvivesWorkerKill kills one of two workers after its
 // first completed shard: the survivor absorbs the retried shards and
-// the folded report is still byte-identical to the local run.
+// the folded report is still byte-identical to the local run. The
+// survivor is held until the victim has refused a shard — otherwise
+// the pipelined survivor may take every remaining shard before the
+// victim is asked again, and the victim would never be dropped.
 func TestDistribSurvivesWorkerKill(t *testing.T) {
 	corpus := testCorpus(t)
 	cfg := testConfig()
@@ -101,10 +128,11 @@ func TestDistribSurvivesWorkerKill(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	victim := &killableWorker{h: NewWorker(WorkerConfig{Workers: 1}).Handler()}
+	victim := newKillableWorker(WorkerConfig{Workers: 1})
 	srvVictim := httptest.NewServer(victim)
 	defer srvVictim.Close()
-	srvSurvivor := httptest.NewServer(NewWorker(WorkerConfig{Workers: 1}).Handler())
+	srvSurvivor := httptest.NewServer(heldUntil(victim.rejected,
+		NewWorker(WorkerConfig{Workers: 1}).Handler()))
 	defer srvSurvivor.Close()
 
 	job, err := campaign.NewJob(corpus, cfg)
@@ -135,7 +163,7 @@ func TestDistribSurvivesWorkerKill(t *testing.T) {
 	if canonical(t, got) != canonical(t, want) {
 		t.Fatal("report after worker kill differs from local run")
 	}
-	if victim.killed.Load() && dropped.Load() != 1 {
+	if !victim.killed.Load() || dropped.Load() != 1 {
 		t.Fatalf("killed worker was not dropped (dropped=%d failed=%d)", dropped.Load(), failed.Load())
 	}
 }
@@ -241,15 +269,29 @@ func TestDistribVersionSkew(t *testing.T) {
 	w := httptest.NewServer(NewWorker(WorkerConfig{}).Handler())
 	defer w.Close()
 
-	// Worker rejects a skewed request.
-	resp, err := http.Post(w.URL+ShardPath, "application/json",
-		strings.NewReader(`{"version":99}`))
+	// Worker rejects a skewed request — including the retired v1 wire,
+	// even when it carries a resolvable materialized corpus.
+	ref, err := campaign.NewCorpusRef(testCorpus(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("skewed shard request got %s, want 400", resp.Status)
+	v1, err := json.Marshal(ShardRequest{Version: 1, Corpus: ref, Start: 0, Count: 2,
+		Config: NewShardConfig(testConfig())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{`{"version":99}`, string(v1)} {
+		resp, err := http.Post(w.URL+ShardPath, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest ||
+			!strings.Contains(string(msg), fmt.Sprintf("want %d", WireVersion)) {
+			t.Fatalf("skewed shard request got %s %q, want 400 naming version %d",
+				resp.Status, msg, WireVersion)
+		}
 	}
 
 	// Coordinator rejects a skewed response.

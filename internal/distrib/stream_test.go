@@ -83,7 +83,7 @@ func TestDistribStreamedSurvivesWorkerKill(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	victim := &killableWorker{h: NewWorker(WorkerConfig{Workers: 1}).Handler()}
+	victim := newKillableWorker(WorkerConfig{Workers: 1})
 	srvVictim := httptest.NewServer(victim)
 	defer srvVictim.Close()
 	srvSurvivor := httptest.NewServer(NewWorker(WorkerConfig{Workers: 1}).Handler())
@@ -110,89 +110,52 @@ func TestDistribStreamedSurvivesWorkerKill(t *testing.T) {
 	}
 }
 
-// legacyWorker mimics a pre-v2 worker binary: it only accepts wire
-// version 1 (rejecting anything else with the old error text) and
-// serves shards by materializing the whole referenced corpus.
-func legacyWorker(t *testing.T) http.Handler {
-	t.Helper()
-	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		var req ShardRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(rw, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if req.Version != WireVersionLegacy {
-			http.Error(rw, fmt.Sprintf("shard wire version %d, want %d", req.Version, WireVersionLegacy),
-				http.StatusBadRequest)
-			return
-		}
-		corpus, err := req.Corpus.Resolve()
-		if err != nil {
-			http.Error(rw, err.Error(), http.StatusBadRequest)
-			return
-		}
-		rows, err := campaign.RunShard(r.Context(), corpus, req.Config.Campaign(1), req.Start, req.Count)
-		if err != nil {
-			http.Error(rw, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-		resp := ShardResponse{Version: WireVersionLegacy, Rows: make([]campaign.WireRow, len(rows))}
-		for i := range rows {
-			resp.Rows[i] = campaign.NewWireRow(&rows[i])
-		}
-		rw.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(rw).Encode(&resp)
-	})
-}
-
-// TestDistribLegacyWorkerDowngrade: a v2 coordinator negotiates down
-// to the v1 wire for an old worker when the corpus is materialized
-// (fingerprint known), still folding the identical report; a streamed
-// run refuses that worker with a descriptive skew error.
-func TestDistribLegacyWorkerDowngrade(t *testing.T) {
+// TestDistribLegacyWorkerRefused: a pre-v2 worker binary refuses the
+// streamed request with its own expected version. The coordinator has
+// no downgrade path, so the attempt counts as an ordinary failure, the
+// run fails loudly with the worker's skew message, and the job keeps
+// nothing from it — a local resume still folds the identical report.
+func TestDistribLegacyWorkerRefused(t *testing.T) {
 	corpus := testCorpus(t)
 	cfg := testConfig()
 	want, err := campaign.Run(corpus, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := httptest.NewServer(legacyWorker(t))
+	var requests atomic.Int64
+	old := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		var req ShardRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(rw, err.Error(), http.StatusBadRequest)
+			return
+		}
+		http.Error(rw, fmt.Sprintf("shard wire version %d, want 1", req.Version), http.StatusBadRequest)
+	}))
 	defer old.Close()
 
 	job, err := campaign.NewJob(corpus, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(context.Background(), job, Options{
-		Workers: []string{old.URL}, ShardSize: 4,
+	_, err = Run(context.Background(), job, Options{
+		Workers: []string{old.URL}, ShardSize: 12, MaxAttempts: 2, DropAfter: 10,
 	})
+	if err == nil || !strings.Contains(err.Error(), "want 1") {
+		t.Fatalf("expected the worker's skew refusal, got %v", err)
+	}
+	if n := requests.Load(); n != 2 {
+		t.Fatalf("%d requests reached the v1 worker, want MaxAttempts=2 for the one shard (no downgrade retry)", n)
+	}
+	if done, _ := job.Progress(); done != 0 {
+		t.Fatalf("refused shards installed %d rows", done)
+	}
+	got, err := job.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if canonical(t, got) != canonical(t, want) {
-		t.Fatal("report via downgraded v1 worker differs from local run")
-	}
-
-	// Streamed corpus, v1-only worker: no fingerprint to resolve by, so
-	// the worker is unusable and the run fails loudly.
-	sj, err := campaign.NewSpecJob(corpus.Spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lastErr atomic.Value
-	_, err = Run(context.Background(), sj, Options{
-		Workers: []string{old.URL}, ShardSize: 4, MaxAttempts: 2, DropAfter: 1,
-		OnEvent: func(e Event) {
-			if e.Type == EventShardFailed {
-				lastErr.Store(e.Err)
-			}
-		},
-	})
-	if err == nil {
-		t.Fatal("streamed run over a v1-only worker succeeded")
-	}
-	if msg, _ := lastErr.Load().(string); !strings.Contains(msg, "streamed") {
-		t.Fatalf("expected streamed-skew failure, got %q", msg)
+		t.Fatal("local resume after refused distributed run differs")
 	}
 }
 

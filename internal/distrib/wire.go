@@ -11,20 +11,14 @@ import (
 // different versions refuse each other loudly instead of folding rows
 // computed under drifted semantics.
 //
-// Version 2 is the streamed protocol: the corpus reference may carry
-// no fingerprint, the worker generates only its own shard range
-// (never the whole corpus), and the response carries the additive
-// partial fingerprint of the generated slice for the coordinator's
-// incremental fold. Workers accept both versions; a coordinator that
-// receives "want 1" from an old worker downgrades that worker to the
-// legacy protocol — which requires a known corpus fingerprint, so
-// only materialized-corpus campaigns can use v1 workers.
+// Version 2 is the streamed protocol: the worker generates only its
+// own shard range (never the whole corpus), and the response carries
+// the additive partial fingerprint of the generated slice for the
+// coordinator's incremental fold. The corpus reference carries a
+// fingerprint only for a materialized corpus; the worker never checks
+// it — corpus identity is verified when the partials fold. Workers
+// refuse every other version, the whole-corpus version 1 included.
 const WireVersion = 2
-
-// WireVersionLegacy is the materialized-corpus protocol: the reference
-// always carries a fingerprint and the worker regenerates (and caches)
-// the entire corpus to serve any shard of it.
-const WireVersionLegacy = 1
 
 // ShardPath is the worker endpoint shards are POSTed to.
 const ShardPath = "/v1/shards"
@@ -68,11 +62,8 @@ func (c ShardConfig) Campaign(workers int) campaign.Config {
 }
 
 // ShardRequest asks a worker to compute rows for the contiguous
-// scenario range [Start, Start+Count) of the referenced corpus. Under
-// version 2 the reference may be spec-only (empty fingerprint) and the
-// worker draws exactly the requested range; under version 1 the
-// fingerprint is mandatory and the worker materializes the whole
-// corpus to slice it.
+// scenario range [Start, Start+Count) of the referenced corpus; the
+// worker draws exactly the requested range.
 type ShardRequest struct {
 	Version int                `json:"version"`
 	Corpus  campaign.CorpusRef `json:"corpus"`
@@ -85,14 +76,14 @@ type ShardRequest struct {
 // requested range, in the lossless WireRow encoding. Spans carries the
 // worker-side execution trace when the request arrived with a trace
 // header; it is empty otherwise, so untraced responses are unchanged
-// byte-for-byte. Partial (version 2 responses only) is the
-// scenario.Partial fold of the slice the worker generated, in its
-// String encoding — the coordinator merges the per-shard partials and
-// verifies the finalized fingerprint instead of regenerating the
-// corpus. Row compression is not part of this struct: bodies travel
-// gzip-encoded when the requester advertises Accept-Encoding: gzip,
-// at the HTTP layer, so old coordinators (whose transport decompresses
-// transparently) interoperate unchanged.
+// byte-for-byte. Partial is the scenario.Partial fold of the slice the
+// worker generated, in its String encoding — the coordinator merges
+// the per-shard partials and verifies the finalized fingerprint
+// instead of regenerating the corpus. Row compression is not part of
+// this struct: bodies travel gzip-encoded when the requester
+// advertises Accept-Encoding: gzip, at the HTTP layer, so old
+// coordinators (whose transport decompresses transparently)
+// interoperate unchanged.
 type ShardResponse struct {
 	Version int                `json:"version"`
 	Rows    []campaign.WireRow `json:"rows"`

@@ -26,31 +26,19 @@ type WorkerConfig struct {
 	// stacked under each scenario's private LRU; see
 	// campaign.Config.Cache for the bit-identity contract.
 	Cache cache.Store
-	// CorpusCache bounds how many regenerated corpora the worker keeps
-	// keyed by fingerprint (default 4). Shards of one campaign all
-	// reference the same corpus, so regeneration is paid once.
-	CorpusCache int
 }
 
 // Worker computes campaign shards on behalf of a coordinator. It is
-// stateless across campaigns apart from three pure caches: regenerated
-// corpora (by fingerprint, the legacy wire), generated slices (by
-// spec + range, the streamed wire) and the optional shared analysis
-// level.
+// stateless across campaigns apart from two pure caches: generated
+// slices (by spec + range) and the optional shared analysis level.
 type Worker struct {
 	cfg WorkerConfig
 
-	mu      sync.Mutex
-	corpora []corpusEntry
-	slices  []sliceEntry
+	mu     sync.Mutex
+	slices []sliceEntry
 
 	shardsServed atomic.Uint64
 	rowsServed   atomic.Uint64
-}
-
-type corpusEntry struct {
-	fingerprint string
-	corpus      *scenario.Corpus
 }
 
 // maxSliceEntries bounds the streamed-range MRU. Slices are scenario
@@ -71,9 +59,6 @@ type sliceEntry struct {
 
 // NewWorker builds a worker.
 func NewWorker(cfg WorkerConfig) *Worker {
-	if cfg.CorpusCache <= 0 {
-		cfg.CorpusCache = 4
-	}
 	return &Worker{cfg: cfg}
 }
 
@@ -121,7 +106,11 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, fmt.Sprintf("bad shard request: %v", err), http.StatusBadRequest)
 		return
 	}
-	if req.Version != WireVersion && req.Version != WireVersionLegacy {
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		http.Error(rw, "bad shard request: data after the request object", http.StatusBadRequest)
+		return
+	}
+	if req.Version != WireVersion {
 		http.Error(rw, fmt.Sprintf("shard wire version %d, want %d", req.Version, WireVersion),
 			http.StatusBadRequest)
 		return
@@ -142,44 +131,20 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 	root.SetInt("count", int64(req.Count))
 	root.SetInt("version", int64(req.Version))
 
-	// Version 2 draws only the requested slice — O(count) regardless of
-	// corpus size — and folds its partial fingerprint. Version 1 keeps
-	// the legacy whole-corpus path: regenerate (through the fingerprint-
-	// keyed cache), verify, slice.
-	var rows []campaign.ScenarioResult
-	var partial scenario.Partial
-	var err error
-	if req.Version == WireVersion {
-		_, gsp := obs.StartSpan(ctx, "corpus.range")
-		var scs []scenario.Scenario
-		var cached bool
-		scs, partial, cached, err = w.slice(req.Corpus, req.Start, req.Count)
-		gsp.SetBool("cached", cached)
-		gsp.End()
-		if err != nil {
-			root.End()
-			http.Error(rw, err.Error(), http.StatusBadRequest)
-			return
-		}
-		cfg := req.Config.Campaign(w.cfg.Workers)
-		cfg.Cache = w.cfg.Cache
-		rows, err = campaign.RunScenarios(ctx, scs, cfg)
-	} else {
-		_, csp := obs.StartSpan(ctx, "corpus.resolve")
-		var corpus *scenario.Corpus
-		var cached bool
-		corpus, cached, err = w.corpus(req.Corpus)
-		csp.SetBool("cached", cached)
-		csp.End()
-		if err != nil {
-			root.End()
-			http.Error(rw, err.Error(), http.StatusBadRequest)
-			return
-		}
-		cfg := req.Config.Campaign(w.cfg.Workers)
-		cfg.Cache = w.cfg.Cache
-		rows, err = campaign.RunShard(ctx, corpus, cfg, req.Start, req.Count)
+	// Draw only the requested slice — O(count) regardless of corpus
+	// size — and fold its partial fingerprint.
+	_, gsp := obs.StartSpan(ctx, "corpus.range")
+	scs, partial, cached, err := w.slice(req.Corpus, req.Start, req.Count)
+	gsp.SetBool("cached", cached)
+	gsp.End()
+	if err != nil {
+		root.End()
+		http.Error(rw, err.Error(), http.StatusBadRequest)
+		return
 	}
+	cfg := req.Config.Campaign(w.cfg.Workers)
+	cfg.Cache = w.cfg.Cache
+	rows, err := campaign.RunScenarios(ctx, scs, cfg)
 	root.End()
 	if err != nil {
 		if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
@@ -188,12 +153,10 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	resp := ShardResponse{Version: req.Version, Rows: make([]campaign.WireRow, len(rows))}
+	resp := ShardResponse{Version: WireVersion, Rows: make([]campaign.WireRow, len(rows)),
+		Partial: partial.String()}
 	for i := range rows {
 		resp.Rows[i] = campaign.NewWireRow(&rows[i])
-	}
-	if req.Version == WireVersion {
-		resp.Partial = partial.String()
 	}
 	if wtr != nil {
 		resp.Spans = wtr.WireSpans()
@@ -222,9 +185,12 @@ func (w *Worker) handleShard(rw http.ResponseWriter, r *http.Request) {
 
 // slice resolves a streamed range through the worker's range-keyed
 // MRU, reporting whether the cache already held it. Entries are shared
-// read-only across shard runs, exactly like the cached corpora.
+// read-only across shard runs.
 func (w *Worker) slice(ref campaign.CorpusRef, start, count int) ([]scenario.Scenario, scenario.Partial, bool, error) {
-	key := fmt.Sprintf("%s\x00%d:%d", ref.Spec, start, count)
+	// The key covers everything ResolveRange reads, the reference
+	// version included: a cached slice must never answer a reference
+	// that would not resolve.
+	key := fmt.Sprintf("%d\x00%s\x00%d:%d", ref.Version, ref.Spec, start, count)
 	w.mu.Lock()
 	for i := range w.slices {
 		if w.slices[i].key == key {
@@ -250,35 +216,4 @@ func (w *Worker) slice(ref campaign.CorpusRef, start, count int) ([]scenario.Sce
 	}
 	w.mu.Unlock()
 	return scs, partial, false, nil
-}
-
-// corpus resolves a corpus reference through the worker's
-// fingerprint-keyed cache, reporting whether the cache already held it.
-func (w *Worker) corpus(ref campaign.CorpusRef) (*scenario.Corpus, bool, error) {
-	w.mu.Lock()
-	for i := range w.corpora {
-		if w.corpora[i].fingerprint == ref.Fingerprint {
-			e := w.corpora[i]
-			// Move to front (most recently used).
-			copy(w.corpora[1:i+1], w.corpora[:i])
-			w.corpora[0] = e
-			w.mu.Unlock()
-			return e.corpus, true, nil
-		}
-	}
-	w.mu.Unlock()
-
-	// Regenerate outside the lock: resolution verifies the fingerprint,
-	// so concurrent duplicates agree and the last one wins harmlessly.
-	corpus, err := ref.Resolve()
-	if err != nil {
-		return nil, false, err
-	}
-	w.mu.Lock()
-	w.corpora = append([]corpusEntry{{ref.Fingerprint, corpus}}, w.corpora...)
-	if len(w.corpora) > w.cfg.CorpusCache {
-		w.corpora = w.corpora[:w.cfg.CorpusCache]
-	}
-	w.mu.Unlock()
-	return corpus, false, nil
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/can"
 	"repro/internal/core"
 	"repro/internal/eventmodel"
@@ -226,79 +227,48 @@ func RunNetworkValidation(p NetworkValidationParams) (*NetworkValidation, []repo
 
 	nv := &NetworkValidation{Seeds: p.Seeds, Duration: p.Duration, Shallow: p.Shallow}
 
-	// Path rows, seeded with their bounds.
-	for _, ps := range topo.Paths {
-		bound, ok := netsim.SimulatedPathBound(sys, a, ps.Name)
-		if !ok {
-			return nil, nil, fmt.Errorf("netval: unbounded path %s", ps.Name)
+	// Path and gateway rows, seeded with their bounds.
+	b := campaign.NewBounds(sys, a, topo)
+	for _, pb := range b.Paths {
+		if !pb.Bounded {
+			return nil, nil, fmt.Errorf("netval: unbounded path %s", pb.Name)
 		}
-		nv.PathRows = append(nv.PathRows, NetworkPathRow{Name: ps.Name, Bound: bound})
+		nv.PathRows = append(nv.PathRows, NetworkPathRow{Name: pb.Name, Bound: pb.Bound})
 	}
-	for _, g := range topo.Gateways {
-		rep := a.GatewayReports[g.Name]
-		lossPredicted := rep.Overflow
-		for _, fr := range rep.Flows {
-			lossPredicted = lossPredicted || fr.OverwriteLoss
-		}
+	for gi, gb := range b.Gateways {
+		g := topo.Gateways[gi]
 		nv.GatewayRows = append(nv.GatewayRows, NetworkGatewayRow{
-			Name: g.Name, Policy: g.Policy, BacklogBound: rep.Backlog,
-			QueueDepth: g.QueueDepth, LossPredicted: lossPredicted,
+			Name: gb.Name, Policy: g.Policy, BacklogBound: gb.Backlog,
+			QueueDepth: g.QueueDepth, LossPredicted: gb.LossPredicted,
 		})
 	}
 
 	for _, res := range results {
-		for pi := range nv.PathRows {
+		c := b.Check(res)
+		nv.TotalFrames += c.Frames
+		nv.Violations += c.MessageViolations
+		for pi, pc := range c.Paths {
 			row := &nv.PathRows[pi]
-			pr := res.Path(row.Name)
-			row.Completed += pr.Completed
-			row.Dropped += pr.Dropped
-			if pr.MaxLatency > row.Observed {
-				row.Observed = pr.MaxLatency
+			row.Completed += pc.Completed
+			row.Dropped += pc.Dropped
+			if pc.MaxLatency > row.Observed {
+				row.Observed = pc.MaxLatency
 			}
-			if pr.MaxLatency > row.Bound {
+			if pc.Violation {
 				row.Violations++
 			}
 		}
-		for _, br := range res.Buses {
-			rep := a.BusReports[br.Name]
-			for _, st := range br.Stats {
-				nv.TotalFrames += st.Sent
-				r := rep.ByName(st.Name)
-				if r == nil || r.WCRT == rta.Unschedulable || st.Sent == 0 {
-					continue
-				}
-				if st.MaxResponse > r.WCRT {
-					nv.Violations++
-				}
-			}
-		}
-		for _, br := range res.TDMABuses {
-			rep := a.TDMAReports[br.Name]
-			for _, st := range br.Stats {
-				nv.TotalFrames += st.Sent
-				r := rep.ByName(st.Name)
-				if r == nil || r.WCRT == tdma.Unschedulable || st.Sent == 0 {
-					continue
-				}
-				if st.MaxResponse > r.WCRT {
-					nv.Violations++
-				}
-			}
-		}
-		for gi := range nv.GatewayRows {
+		for gi, gc := range c.Gateways {
 			row := &nv.GatewayRows[gi]
-			gr := res.Gateway(row.Name)
-			if gr.MaxBacklog > row.MaxBacklog {
-				row.MaxBacklog = gr.MaxBacklog
+			if gc.MaxBacklog > row.MaxBacklog {
+				row.MaxBacklog = gc.MaxBacklog
 			}
-			if gr.MaxBacklog > row.BacklogBound {
+			if gc.BacklogViolation {
 				row.Violations++
 			}
-			lost := gr.Lost()
-			row.Losses += lost
-			nv.Losses += lost
-			if lost > 0 && !row.LossPredicted {
-				// Loss although the analysis predicted none: violation.
+			row.Losses += gc.Lost()
+			nv.Losses += gc.Lost()
+			if gc.LossViolation {
 				row.Violations++
 			}
 		}

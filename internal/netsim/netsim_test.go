@@ -335,3 +335,52 @@ func TestPerMessageBufferServiceIsFair(t *testing.T) {
 		t.Errorf("unbalanced forwarding: B1 %d vs B2 %d", b1, b2)
 	}
 }
+
+// TestPerMessageBufferBatchForwardsAll pins the batched round-robin
+// scan: every activation of a per-message-buffer gateway forwards
+// min(Batch, occupied) instances. Each of k flows re-occupies its
+// buffer once per service period (every arrival precedes the next
+// activation), so a gateway that keeps its promise forwards
+// min(Batch, k) per activation and overwrites only what the batch
+// cannot carry. A scan that skips occupied slots forwards fewer and
+// loses more.
+func TestPerMessageBufferBatchForwardsAll(t *testing.T) {
+	for _, tc := range []struct{ batch, flows int }{
+		{2, 1}, {2, 2}, {3, 2}, {3, 3}, {4, 4}, {2, 3}, {3, 5},
+	} {
+		topo := &Topology{
+			Buses: []BusSpec{
+				{Name: "src", Bus: can.Bus{BitRate: can.Rate500k}},
+				{Name: "dst", Bus: can.Bus{BitRate: can.Rate500k}},
+			},
+			Gateways: []GatewaySpec{{
+				Name: "gw", Service: eventmodel.Periodic(10 * ms),
+				Policy: gateway.PerMessageBuffer, Batch: tc.batch,
+			}},
+		}
+		for f := 0; f < tc.flows; f++ {
+			a := string(rune('A'+f)) + "src"
+			b := string(rune('A'+f)) + "dst"
+			topo.Buses[0].Messages = append(topo.Buses[0].Messages,
+				msg(a, can.ID(0x100+f), 8, eventmodel.Periodic(10*ms)))
+			topo.Buses[1].Messages = append(topo.Buses[1].Messages,
+				msg(b, can.ID(0x200+f), 8, eventmodel.Periodic(10*ms)))
+			topo.Routes = append(topo.Routes,
+				Route{Gateway: "gw", From: Ref{"src", a}, To: Ref{"dst", b}})
+		}
+		res, err := Run(topo, Config{Duration: time.Second, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := res.Gateway("gw")
+		per := min(tc.batch, tc.flows)
+		if want := per * g.Activations; g.Forwarded != want {
+			t.Errorf("batch %d, %d flows: forwarded %d over %d activations, want %d",
+				tc.batch, tc.flows, g.Forwarded, g.Activations, want)
+		}
+		if want := (tc.flows - per) * g.Activations; g.OverwriteLosses != want {
+			t.Errorf("batch %d, %d flows: %d overwrite losses, want %d",
+				tc.batch, tc.flows, g.OverwriteLosses, want)
+		}
+	}
+}

@@ -51,34 +51,34 @@ func (o Objectives) String() string {
 // analysis configuration.
 type evaluator struct {
 	k      *kmatrix.KMatrix
-	cfg    rta.Config
 	scales []float64
 	// robustScale is the jitter scale at which robustness is measured.
 	robustScale float64
-	// onlyUnknown mirrors SweepConfig.OnlyUnknown.
-	onlyUnknown bool
-	// pool hands out per-worker incremental what-if sessions sharing
-	// one content-addressed store: candidates that agree on a
-	// high-priority prefix (common as the population converges) share
-	// the converged results of that prefix instead of re-deriving them
-	// per clone. Nil when the incremental engine is disabled —
-	// evaluation then clones the matrix per candidate (Apply +
-	// WithJitterScale).
-	pool *whatif.SessionPool
+	// analyze returns the report of assignment a at one jitter scale,
+	// using worker w's private state.
+	analyze func(worker int, a Assignment, scale float64) (*rta.Report, error)
 }
 
-// enableWhatIf arms the evaluator with per-worker sessions.
-func (e *evaluator) enableWhatIf(workers int) {
-	e.pool = whatif.NewSessionPool(e.k, e.cfg, nil, workers)
-}
-
-// session returns worker w's lazily created session, or nil when the
-// incremental engine is disabled.
-func (e *evaluator) session(worker int) *whatif.BusSession {
-	if e.pool == nil {
-		return nil
+// newEvaluator scores candidates on per-worker incremental what-if
+// sessions sharing one content-addressed store: candidates that agree
+// on a high-priority prefix (common as the population converges) share
+// the converged results of that prefix instead of re-deriving them.
+func newEvaluator(k *kmatrix.KMatrix, cfg Config) *evaluator {
+	pool := whatif.NewSessionPool(k, cfg.Analysis, nil, cfg.Workers)
+	return &evaluator{
+		k: k, scales: cfg.EvalScales, robustScale: cfg.RobustnessScale,
+		analyze: func(worker int, a Assignment, scale float64) (*rta.Report, error) {
+			sess := pool.Session(worker)
+			sess.Reset()
+			if err := sess.Apply(
+				whatif.AssignIDs{IDs: a},
+				whatif.ScaleJitter{Scale: scale, OnlyUnknown: cfg.OnlyUnknown},
+			); err != nil {
+				return nil, err
+			}
+			return sess.Analyze()
+		},
 	}
-	return e.pool.Session(worker)
 }
 
 // evalAll scores a set of individuals on a worker pool. Every
@@ -94,35 +94,17 @@ func (e *evaluator) evalAll(inds []*individual, workers int) error {
 	return parallel.FirstError(errs)
 }
 
-// evalAssignment scores an arbitrary assignment on worker 0's session.
+// evalAssignment scores an arbitrary assignment on worker 0's state.
 func (e *evaluator) evalAssignment(a Assignment) (Objectives, error) {
 	return e.evalAssignmentOn(0, a)
 }
 
-// evalAssignmentOn scores an assignment, reusing worker w's session.
+// evalAssignmentOn scores an assignment on worker w's state.
 func (e *evaluator) evalAssignmentOn(worker int, a Assignment) (Objectives, error) {
-	sess := e.session(worker)
-	var applied *kmatrix.KMatrix
-	if sess == nil {
-		applied = Apply(e.k, a)
-	}
-	analyze := func(scale float64) (*rta.Report, error) {
-		if sess == nil {
-			return e.analyzeAt(applied, scale)
-		}
-		sess.Reset()
-		if err := sess.Apply(
-			whatif.AssignIDs{IDs: a},
-			whatif.ScaleJitter{Scale: scale, OnlyUnknown: e.onlyUnknown},
-		); err != nil {
-			return nil, err
-		}
-		return sess.Analyze()
-	}
 	var obj Objectives
 	robustDone := false
 	for _, scale := range e.scales {
-		rep, err := analyze(scale)
+		rep, err := e.analyze(worker, a, scale)
 		if err != nil {
 			return obj, err
 		}
@@ -133,18 +115,13 @@ func (e *evaluator) evalAssignmentOn(worker int, a Assignment) (Objectives, erro
 		}
 	}
 	if !robustDone {
-		rep, err := analyze(e.robustScale)
+		rep, err := e.analyze(worker, a, e.robustScale)
 		if err != nil {
 			return obj, err
 		}
 		obj.NegRobustness = -robustness(rep)
 	}
 	return obj, nil
-}
-
-func (e *evaluator) analyzeAt(applied *kmatrix.KMatrix, scale float64) (*rta.Report, error) {
-	scaled := applied.WithJitterScale(scale, e.onlyUnknown)
-	return rta.Analyze(scaled.ToRTA(), e.cfg)
 }
 
 // robustness is the mean normalised slack, clamped to [-1, 1] per

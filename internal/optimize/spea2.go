@@ -58,11 +58,6 @@ type Config struct {
 	// fixed seed regardless of the worker count: all randomness is drawn
 	// serially, only the (pure) objective evaluations are fanned out.
 	Workers int
-	// DisableWhatIf bypasses the incremental what-if sessions and
-	// evaluates every candidate from a full clone of the matrix (the
-	// pre-whatif behaviour). Objectives — and with them the whole
-	// seeded search trajectory — are bit-identical either way.
-	DisableWhatIf bool
 }
 
 func (c Config) withDefaults() Config {
@@ -139,18 +134,12 @@ func Run(k *kmatrix.KMatrix, cfg Config) (*Result, error) {
 	if len(k.Messages) < 2 {
 		return nil, fmt.Errorf("optimize: need at least 2 messages, got %d", len(k.Messages))
 	}
-	analysis := cfg.Analysis
-	analysis.Bus = k.Bus()
-	ev := &evaluator{
-		k:           k,
-		cfg:         analysis,
-		scales:      cfg.EvalScales,
-		robustScale: cfg.RobustnessScale,
-		onlyUnknown: cfg.OnlyUnknown,
-	}
-	if !cfg.DisableWhatIf {
-		ev.enableWhatIf(cfg.Workers)
-	}
+	return search(k, cfg, newEvaluator(k, cfg))
+}
+
+// search runs the seeded SPEA2 loop, scoring candidates with ev. cfg
+// carries its defaults.
+func search(k *kmatrix.KMatrix, cfg Config, ev *evaluator) (*Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := len(k.Messages)
 

@@ -9,6 +9,21 @@ import (
 	"repro/internal/rta"
 )
 
+// cloneEvaluator is the reference evaluator: every candidate is scored
+// from a full clone of the matrix with the assignment applied and the
+// jitters scaled, put through a from-scratch analysis.
+func cloneEvaluator(k *kmatrix.KMatrix, cfg Config) *evaluator {
+	analysis := cfg.Analysis
+	analysis.Bus = k.Bus()
+	return &evaluator{
+		k: k, scales: cfg.EvalScales, robustScale: cfg.RobustnessScale,
+		analyze: func(_ int, a Assignment, scale float64) (*rta.Report, error) {
+			scaled := Apply(k, a).WithJitterScale(scale, cfg.OnlyUnknown)
+			return rta.Analyze(scaled.ToRTA(), analysis)
+		},
+	}
+}
+
 // TestRunWhatIfEquivalence pins the satellite contract: the GA with
 // incremental what-if sessions reproduces the clone-based run bit for
 // bit (same seeded trajectory, same front, same best candidate).
@@ -27,9 +42,8 @@ func TestRunWhatIfEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := base
-	slow.DisableWhatIf = true
-	want, err := Run(k, slow)
+	cfg := base.withDefaults()
+	want, err := search(k, cfg, cloneEvaluator(k, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

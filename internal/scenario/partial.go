@@ -85,7 +85,8 @@ func (p Partial) String() string {
 	return fmt.Sprintf("%016x%016x:%d", p.A, p.B, p.N)
 }
 
-// ParsePartial decodes the String form.
+// ParsePartial decodes the String form, accepting exactly the strings
+// String produces.
 func ParsePartial(s string) (Partial, error) {
 	var p Partial
 	if len(s) < 34 || s[32] != ':' {
@@ -98,6 +99,11 @@ func ParsePartial(s string) (Partial, error) {
 		return Partial{}, fmt.Errorf("scenario: malformed partial %q", s)
 	}
 	if _, err := fmt.Sscanf(s[33:], "%d", &p.N); err != nil || p.N < 0 {
+		return Partial{}, fmt.Errorf("scenario: malformed partial %q", s)
+	}
+	// Sscanf tolerates signs, case and trailing bytes; only the one
+	// canonical encoding of a partial is accepted.
+	if p.String() != s {
 		return Partial{}, fmt.Errorf("scenario: malformed partial %q", s)
 	}
 	return p, nil

@@ -162,3 +162,25 @@ func TestPartialWireRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParsePartial checks the partial wire encoding both ways: any
+// string ParsePartial accepts is exactly the String form of what it
+// decoded, and any partial survives String then ParsePartial.
+func FuzzParsePartial(f *testing.F) {
+	f.Add("00000000000000000000000000000000:0", uint64(0), uint64(0), 0)
+	f.Add("0123456789abcdeffedcba9876543210:42", uint64(1)<<63, uint64(12345), 500)
+	f.Add("0123456789ABCDEFfedcba9876543210:+42", ^uint64(0), uint64(1), 1)
+	f.Fuzz(func(t *testing.T, s string, a, b uint64, n int) {
+		if p, err := ParsePartial(s); err == nil && p.String() != s {
+			t.Fatalf("ParsePartial(%q) accepted a non-canonical form of %q", s, p.String())
+		}
+		if n < 0 {
+			n = -(n + 1)
+		}
+		p := Partial{A: a, B: b, N: n}
+		got, err := ParsePartial(p.String())
+		if err != nil || got != p {
+			t.Fatalf("round trip of %+v: got %+v, %v", p, got, err)
+		}
+	})
+}

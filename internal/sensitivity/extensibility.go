@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/can"
 	"repro/internal/kmatrix"
-	"repro/internal/rta"
 	"repro/internal/whatif"
 )
 
@@ -27,9 +26,6 @@ func Extensibility(k *kmatrix.KMatrix, template kmatrix.Message, cfg SweepConfig
 	if max < 1 {
 		return 0, fmt.Errorf("sensitivity: max %d must be positive", max)
 	}
-	analysis := cfg.Analysis
-	analysis.Bus = k.Bus()
-
 	// Place additions above every existing identifier.
 	var base can.ID
 	for _, m := range k.Messages {
@@ -53,42 +49,31 @@ func Extensibility(k *kmatrix.KMatrix, template kmatrix.Message, cfg SweepConfig
 		add.Jitter = scaleDuration(operatingScale, add.Period)
 		return add
 	}
-	var okWith func(n int) (bool, error)
-	if cfg.DisableWhatIf {
-		okWith = func(n int) (bool, error) {
-			trial := k.WithJitterScale(operatingScale, cfg.OnlyUnknown)
-			for i := 0; i < n; i++ {
-				trial.Messages = append(trial.Messages, addition(i))
-			}
-			rep, err := rta.Analyze(trial.ToRTA(), analysis)
-			if err != nil {
-				return false, err
-			}
-			return rep.AllSchedulable(), nil
+	// The additions sit below every existing identifier, so each
+	// bisection probe re-analyses only the additions themselves; the
+	// existing matrix at the operating point is shared across probes.
+	sess := whatif.NewBusSession(k, cfg.Analysis, whatif.Options{Store: cfg.Cache, Workers: 1})
+	return bisectCount(func(n int) (bool, error) {
+		sess.Reset()
+		changes := make([]whatif.Change, 0, n+1)
+		changes = append(changes, whatif.ScaleJitter{Scale: operatingScale, OnlyUnknown: cfg.OnlyUnknown})
+		for i := 0; i < n; i++ {
+			changes = append(changes, whatif.AddMessage{Row: addition(i)})
 		}
-	} else {
-		// The additions sit below every existing identifier, so each
-		// bisection probe re-analyses only the additions themselves; the
-		// existing matrix at the operating point is shared across probes.
-		sess := whatif.NewBusSession(k, cfg.Analysis, whatif.Options{Store: cfg.Cache, Workers: 1})
-		okWith = func(n int) (bool, error) {
-			sess.Reset()
-			changes := make([]whatif.Change, 0, n+1)
-			changes = append(changes, whatif.ScaleJitter{Scale: operatingScale, OnlyUnknown: cfg.OnlyUnknown})
-			for i := 0; i < n; i++ {
-				changes = append(changes, whatif.AddMessage{Row: addition(i)})
-			}
-			if err := sess.Apply(changes...); err != nil {
-				return false, err
-			}
-			rep, err := sess.Analyze()
-			if err != nil {
-				return false, err
-			}
-			return rep.AllSchedulable(), nil
+		if err := sess.Apply(changes...); err != nil {
+			return false, err
 		}
-	}
+		rep, err := sess.Analyze()
+		if err != nil {
+			return false, err
+		}
+		return rep.AllSchedulable(), nil
+	}, max)
+}
 
+// bisectCount finds the largest n in [0, max] for which the monotone
+// predicate okWith holds; -1 when it fails already at zero.
+func bisectCount(okWith func(n int) (bool, error), max int) (int, error) {
 	ok0, err := okWith(0)
 	if err != nil {
 		return 0, err

@@ -44,10 +44,6 @@ type SweepConfig struct {
 	// per-message results — a cache.Tiered store extends the sharing
 	// across processes.
 	Cache cache.Store
-	// DisableWhatIf bypasses the incremental engine: every variant is a
-	// fresh clone put through a full analysis (the pre-whatif
-	// behaviour). Results are bit-identical either way.
-	DisableWhatIf bool
 }
 
 func (c SweepConfig) scales() []float64 {
@@ -151,49 +147,38 @@ func (r *Result) CurveByName(name string) *Curve {
 
 // Sweep runs the jitter sweep over the matrix. The scales are analysed
 // concurrently on a worker pool (cfg.Workers): each scale is one
-// ChangeSet applied to a per-worker what-if session (falling back to an
-// independently scaled full clone under DisableWhatIf), and the result
-// is assembled in scale order afterwards, so the outcome is identical
-// to the serial sweep.
+// ChangeSet applied to a per-worker what-if session, and the result is
+// assembled in scale order afterwards, so the outcome is identical to
+// the serial sweep.
 func Sweep(k *kmatrix.KMatrix, cfg SweepConfig) (*Result, error) {
 	scales := cfg.scales()
-	res := &Result{Scales: scales, Reports: make([]*rta.Report, len(scales))}
-
-	analysis := cfg.Analysis
-	analysis.Bus = k.Bus()
-
+	reports := make([]*rta.Report, len(scales))
 	errs := make([]error, len(scales))
-	if cfg.DisableWhatIf {
-		parallel.For(len(scales), cfg.Workers, func(_, si int) {
-			scaled := k.WithJitterScale(scales[si], cfg.OnlyUnknown)
-			rep, err := rta.Analyze(scaled.ToRTA(), analysis)
-			if err != nil {
-				errs[si] = fmt.Errorf("sensitivity: scale %.2f: %w", scales[si], err)
-				return
-			}
-			res.Reports[si] = rep
-		})
-	} else {
-		pool := whatif.NewSessionPool(k, cfg.Analysis, cfg.Cache, cfg.Workers)
-		parallel.For(len(scales), cfg.Workers, func(worker, si int) {
-			sess := pool.Session(worker)
-			sess.Reset()
-			if err := sess.Apply(whatif.ScaleJitter{Scale: scales[si], OnlyUnknown: cfg.OnlyUnknown}); err != nil {
-				errs[si] = fmt.Errorf("sensitivity: scale %.2f: %w", scales[si], err)
-				return
-			}
-			rep, err := sess.Analyze()
-			if err != nil {
-				errs[si] = fmt.Errorf("sensitivity: scale %.2f: %w", scales[si], err)
-				return
-			}
-			res.Reports[si] = rep
-		})
-	}
+	pool := whatif.NewSessionPool(k, cfg.Analysis, cfg.Cache, cfg.Workers)
+	parallel.For(len(scales), cfg.Workers, func(worker, si int) {
+		sess := pool.Session(worker)
+		sess.Reset()
+		if err := sess.Apply(whatif.ScaleJitter{Scale: scales[si], OnlyUnknown: cfg.OnlyUnknown}); err != nil {
+			errs[si] = fmt.Errorf("sensitivity: scale %.2f: %w", scales[si], err)
+			return
+		}
+		rep, err := sess.Analyze()
+		if err != nil {
+			errs[si] = fmt.Errorf("sensitivity: scale %.2f: %w", scales[si], err)
+			return
+		}
+		reports[si] = rep
+	})
 	if err := parallel.FirstError(errs); err != nil {
 		return nil, err
 	}
+	return newResult(scales, reports)
+}
 
+// newResult assembles the per-message curves from the per-scale
+// reports, in scale order.
+func newResult(scales []float64, reports []*rta.Report) (*Result, error) {
+	res := &Result{Scales: scales, Reports: reports}
 	curveIdx := map[string]int{}
 	for si, scale := range scales {
 		rep := res.Reports[si]

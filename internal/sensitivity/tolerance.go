@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/kmatrix"
 	"repro/internal/parallel"
-	"repro/internal/rta"
 	"repro/internal/whatif"
 )
 
@@ -28,44 +27,32 @@ func MessageJitterTolerance(k *kmatrix.KMatrix, message string, cfg SweepConfig,
 	if target == nil {
 		return 0, fmt.Errorf("sensitivity: unknown message %q", message)
 	}
-	analysis := cfg.Analysis
-	analysis.Bus = k.Bus()
-
 	// The bisection probes a single-message jitter edit over and over:
 	// the incremental session re-analyses only the edited message and
 	// the priorities below it, and shares the untouched prefix across
 	// probes (and, with cfg.Cache, across table rows).
-	var okAt func(scale float64) (bool, error)
-	if cfg.DisableWhatIf {
-		okAt = func(scale float64) (bool, error) {
-			trial := k.WithJitterScale(operatingScale, cfg.OnlyUnknown)
-			m := trial.ByName(message)
-			m.Jitter = scaleDuration(scale, m.Period)
-			rep, err := rta.Analyze(trial.ToRTA(), analysis)
-			if err != nil {
-				return false, err
-			}
-			return rep.AllSchedulable(), nil
+	sess := whatif.NewBusSession(k, cfg.Analysis, whatif.Options{Store: cfg.Cache, Workers: 1})
+	period := target.Period
+	return bisectScale(func(scale float64) (bool, error) {
+		sess.Reset()
+		if err := sess.Apply(
+			whatif.ScaleJitter{Scale: operatingScale, OnlyUnknown: cfg.OnlyUnknown},
+			whatif.SetJitter{Message: message, Jitter: scaleDuration(scale, period)},
+		); err != nil {
+			return false, err
 		}
-	} else {
-		sess := whatif.NewBusSession(k, cfg.Analysis, whatif.Options{Store: cfg.Cache, Workers: 1})
-		period := target.Period
-		okAt = func(scale float64) (bool, error) {
-			sess.Reset()
-			if err := sess.Apply(
-				whatif.ScaleJitter{Scale: operatingScale, OnlyUnknown: cfg.OnlyUnknown},
-				whatif.SetJitter{Message: message, Jitter: scaleDuration(scale, period)},
-			); err != nil {
-				return false, err
-			}
-			rep, err := sess.Analyze()
-			if err != nil {
-				return false, err
-			}
-			return rep.AllSchedulable(), nil
+		rep, err := sess.Analyze()
+		if err != nil {
+			return false, err
 		}
-	}
+		return rep.AllSchedulable(), nil
+	}, hi, eps)
+}
 
+// bisectScale finds the largest scale in [0, hi] (to within eps) at
+// which the monotone predicate okAt holds; -1 when it fails already at
+// zero.
+func bisectScale(okAt func(scale float64) (bool, error), hi, eps float64) (float64, error) {
 	ok0, err := okAt(0)
 	if err != nil {
 		return 0, err
@@ -108,11 +95,11 @@ type Tolerance struct {
 // ToleranceTable computes the jitter tolerance of every message at the
 // operating scale, sorted from most critical (lowest tolerance) to most
 // relaxed. The per-message bisections are independent and run on a
-// worker pool (cfg.Workers); unless disabled, all rows share one
-// content-addressed store, so the common operating-point prefix is
-// analysed once for the whole table.
+// worker pool (cfg.Workers); all rows share one content-addressed
+// store, so the common operating-point prefix is analysed once for the
+// whole table.
 func ToleranceTable(k *kmatrix.KMatrix, cfg SweepConfig, operatingScale, hi, eps float64) ([]Tolerance, error) {
-	if !cfg.DisableWhatIf && cfg.Cache == nil {
+	if cfg.Cache == nil {
 		cfg.Cache = whatif.NewStore(0)
 	}
 	out := make([]Tolerance, len(k.Messages))
@@ -128,11 +115,17 @@ func ToleranceTable(k *kmatrix.KMatrix, cfg SweepConfig, operatingScale, hi, eps
 	if err := parallel.FirstError(errs); err != nil {
 		return nil, err
 	}
+	sortTolerances(out)
+	return out, nil
+}
+
+// sortTolerances orders rows from most critical (lowest tolerance) to
+// most relaxed, ties by name.
+func sortTolerances(out []Tolerance) {
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].MaxJitterScale != out[j].MaxJitterScale {
 			return out[i].MaxJitterScale < out[j].MaxJitterScale
 		}
 		return out[i].Message < out[j].Message
 	})
-	return out, nil
 }

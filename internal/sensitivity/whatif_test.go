@@ -1,17 +1,98 @@
 package sensitivity
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/can"
 	"repro/internal/kmatrix"
+	"repro/internal/parallel"
 	"repro/internal/rta"
 	"repro/internal/whatif"
 )
 
 // The incremental what-if path must be bit-identical to the clone-based
-// fallback for every derived search.
+// reference below for every derived search: each variant is a fresh
+// clone of the matrix put through a full from-scratch analysis.
+
+// cloneAnalysis is the reference's analysis configuration.
+func cloneAnalysis(k *kmatrix.KMatrix, cfg SweepConfig) rta.Config {
+	analysis := cfg.Analysis
+	analysis.Bus = k.Bus()
+	return analysis
+}
+
+// cloneSweep is the reference Sweep: one independently scaled clone per
+// scale, on the same worker pool.
+func cloneSweep(k *kmatrix.KMatrix, cfg SweepConfig) (*Result, error) {
+	scales := cfg.scales()
+	reports := make([]*rta.Report, len(scales))
+	errs := make([]error, len(scales))
+	parallel.For(len(scales), cfg.Workers, func(_, si int) {
+		scaled := k.WithJitterScale(scales[si], cfg.OnlyUnknown)
+		reports[si], errs[si] = rta.Analyze(scaled.ToRTA(), cloneAnalysis(k, cfg))
+	})
+	if err := parallel.FirstError(errs); err != nil {
+		return nil, err
+	}
+	return newResult(scales, reports)
+}
+
+// cloneToleranceTable is the reference ToleranceTable: every bisection
+// probe scales a clone to the operating point and sets the message's
+// jitter. Rows run on the same worker pool.
+func cloneToleranceTable(k *kmatrix.KMatrix, cfg SweepConfig, operatingScale, hi, eps float64) ([]Tolerance, error) {
+	out := make([]Tolerance, len(k.Messages))
+	errs := make([]error, len(k.Messages))
+	parallel.For(len(k.Messages), cfg.Workers, func(_, i int) {
+		name := k.Messages[i].Name
+		out[i].Message = name
+		out[i].MaxJitterScale, errs[i] = bisectScale(func(scale float64) (bool, error) {
+			trial := k.WithJitterScale(operatingScale, cfg.OnlyUnknown)
+			m := trial.ByName(name)
+			m.Jitter = scaleDuration(scale, m.Period)
+			rep, err := rta.Analyze(trial.ToRTA(), cloneAnalysis(k, cfg))
+			if err != nil {
+				return false, err
+			}
+			return rep.AllSchedulable(), nil
+		}, hi, eps)
+	})
+	if err := parallel.FirstError(errs); err != nil {
+		return nil, err
+	}
+	sortTolerances(out)
+	return out, nil
+}
+
+// cloneExtensibility is the reference Extensibility: every probe appends
+// n template clones, above every existing identifier, to a clone scaled
+// to the operating point.
+func cloneExtensibility(k *kmatrix.KMatrix, template kmatrix.Message, cfg SweepConfig,
+	operatingScale float64, max int) (int, error) {
+	var base can.ID
+	for _, m := range k.Messages {
+		if m.ID > base {
+			base = m.ID
+		}
+	}
+	return bisectCount(func(n int) (bool, error) {
+		trial := k.WithJitterScale(operatingScale, cfg.OnlyUnknown)
+		for i := 0; i < n; i++ {
+			add := template
+			add.Name = fmt.Sprintf("%s_ext%03d", template.Name, i+1)
+			add.ID = base + 1 + can.ID(i)
+			add.Jitter = scaleDuration(operatingScale, add.Period)
+			trial.Messages = append(trial.Messages, add)
+		}
+		rep, err := rta.Analyze(trial.ToRTA(), cloneAnalysis(k, cfg))
+		if err != nil {
+			return false, err
+		}
+		return rep.AllSchedulable(), nil
+	}, max)
+}
 
 func equivMatrix() *kmatrix.KMatrix {
 	return kmatrix.Powertrain(kmatrix.GenConfig{Seed: 3, Messages: 26})
@@ -32,8 +113,7 @@ func TestSweepWhatIfEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.DisableWhatIf = true
-		slow, err := Sweep(k, cfg)
+		slow, err := cloneSweep(k, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,9 +130,7 @@ func TestToleranceWhatIfEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg = equivConfig(2)
-	cfg.DisableWhatIf = true
-	slow, err := ToleranceTable(k, cfg, 0.1, 1.0, 0.05)
+	slow, err := cloneToleranceTable(k, equivConfig(2), 0.1, 1.0, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +148,7 @@ func TestExtensibilityWhatIfEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := equivConfig(1)
-	cfg.DisableWhatIf = true
-	slow, err := Extensibility(k, template, cfg, 0.1, 64)
+	slow, err := cloneExtensibility(k, template, equivConfig(1), 0.1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

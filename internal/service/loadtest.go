@@ -94,8 +94,8 @@ type LoadTestResult struct {
 	FirstMismatch string
 	// Routes holds the per-route latency distributions.
 	Routes []RouteLatency
-	// HitRatePct is the aggregate what-if session hit rate reported by
-	// /v1/metrics after the storm.
+	// HitRatePct is the aggregate what-if session hit rate, from the
+	// /metrics session cache counters after the storm.
 	HitRatePct float64
 	// DrainOK reports the drain/restore phase: a campaign interrupted
 	// by a drain resumed on a fresh server with a bit-identical report.
@@ -559,15 +559,18 @@ func LoadTest(cfg LoadTestConfig) (*LoadTestResult, error) {
 	}
 
 	// The reported hit rate aggregates every live session.
-	data, err := lt.do("GET /v1/metrics", "GET", "/v1/metrics", "", "", http.StatusOK)
+	data, err := lt.do("GET /metrics", "GET", "/metrics", "", "", http.StatusOK)
 	if err != nil {
 		return nil, err
 	}
-	var m MetricsResponse
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("metrics response: %w", err)
+	hits, hok := promSample(data, "symtago_session_cache_hits_total")
+	misses, mok := promSample(data, "symtago_session_cache_misses_total")
+	if !hok || !mok {
+		return nil, fmt.Errorf("metrics response lacks the session cache counters")
 	}
-	res.HitRatePct = m.WhatIf.SessionHitRate
+	if hits+misses > 0 {
+		res.HitRatePct = 100 * hits / (hits + misses)
+	}
 
 	// Phase 3: drain/restore — interrupt a live campaign with the
 	// SIGTERM protocol and prove the resumed report is bit-identical.
@@ -730,4 +733,16 @@ func drainPhase(srv *Server, lt *ltRunner, cfg LoadTestConfig) (bool, string) {
 		return false, "resumed report differs from uninterrupted run"
 	}
 	return true, fmt.Sprintf("campaign drained at a checkpoint and resumed bit-identically (%d checkpoint)", checkpointed)
+}
+
+// promSample returns the value of one series (name plus any label set,
+// exactly as exposed) from a Prometheus text scrape.
+func promSample(text []byte, series string) (float64, bool) {
+	for _, line := range strings.Split(string(text), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			return f, err == nil
+		}
+	}
+	return 0, false
 }

@@ -430,29 +430,39 @@ func TestCampaignCancelResume(t *testing.T) {
 	}
 }
 
+// scrapeProm fetches the /metrics exposition.
+func scrapeProm(t *testing.T, base string) []byte {
+	t.Helper()
+	status, body := do(t, "GET", base+"/metrics", "")
+	if status != http.StatusOK {
+		t.Fatalf("metrics: %d %s", status, body)
+	}
+	return body
+}
+
+// mustSample reads one series from a scrape or fails the test.
+func mustSample(t *testing.T, text []byte, series string) float64 {
+	t.Helper()
+	v, ok := promSample(text, series)
+	if !ok {
+		t.Fatalf("/metrics lacks %s", series)
+	}
+	return v
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	_, base := newTestServer(t)
 	do(t, "POST", base+"/v1/analyze", testSpec(t, 5))
 	do(t, "POST", base+"/v1/analyze", "garbage\n")
-	status, body := do(t, "GET", base+"/v1/metrics", "")
-	if status != http.StatusOK {
-		t.Fatalf("metrics: %d %s", status, body)
+	m := scrapeProm(t, base)
+	if n := mustSample(t, m, `symtago_requests_total{route="POST /v1/analyze"}`); n != 2 {
+		t.Fatalf("analyze requests %v, want 2", n)
 	}
-	var m MetricsResponse
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatal(err)
+	if n := mustSample(t, m, `symtago_request_errors_total{route="POST /v1/analyze"}`); n != 1 {
+		t.Fatalf("analyze errors %v, want 1", n)
 	}
-	var analyze *RouteMetrics
-	for i := range m.Requests {
-		if m.Requests[i].Route == "POST /v1/analyze" {
-			analyze = &m.Requests[i]
-		}
-	}
-	if analyze == nil || analyze.Count != 2 || analyze.Errors != 1 {
-		t.Fatalf("analyze route metrics: %+v", m.Requests)
-	}
-	if m.WhatIf.StoreMisses == 0 {
-		t.Fatalf("whatif metrics: %+v", m.WhatIf)
+	if mustSample(t, m, `symtago_cache_misses_total{tier="l1"}`) == 0 {
+		t.Fatal("shared store reports no misses after an analysis")
 	}
 }
 
@@ -717,15 +727,7 @@ func TestDrainingGate(t *testing.T) {
 	if status, _ := do(t, "GET", base+"/v1/healthz", ""); status != http.StatusOK {
 		t.Fatalf("drained healthz: %d, want 200", status)
 	}
-	status, body := do(t, "GET", base+"/v1/metrics", "")
-	if status != http.StatusOK {
-		t.Fatalf("drained metrics: %d", status)
-	}
-	var m MetricsResponse
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Admission.Draining {
+	if mustSample(t, scrapeProm(t, base), "symtago_draining") != 1 {
 		t.Fatal("metrics do not report draining")
 	}
 }
@@ -738,24 +740,15 @@ func TestMetricsAdmissionCounters(t *testing.T) {
 	t.Cleanup(func() { hs.Close(); srv.Close() })
 	do(t, "POST", hs.URL+"/v1/analyze", testSpec(t, 5))
 	do(t, "POST", hs.URL+"/v1/analyze", testSpec(t, 5)) // shed: bucket empty
-	status, body := do(t, "GET", hs.URL+"/v1/metrics", "")
-	if status != http.StatusOK {
-		t.Fatalf("metrics: %d", status)
+	m := scrapeProm(t, hs.URL)
+	if n := mustSample(t, m, `symtago_request_shed_total{route="POST /v1/analyze"}`); n != 1 {
+		t.Fatalf("analyze shed counter %v, want 1", n)
 	}
-	var m MetricsResponse
-	if err := json.Unmarshal(body, &m); err != nil {
-		t.Fatal(err)
+	if n := mustSample(t, m, `symtago_tenant_shed_total{tenant="anonymous"}`); n != 1 {
+		t.Fatalf("anonymous tenant shed counter %v, want 1", n)
 	}
-	var analyze *RouteMetrics
-	for i := range m.Requests {
-		if m.Requests[i].Route == "POST /v1/analyze" {
-			analyze = &m.Requests[i]
-		}
-	}
-	if analyze == nil || analyze.Shed != 1 {
-		t.Fatalf("analyze shed counter: %+v", m.Requests)
-	}
-	if m.Admission.MaxClients == 0 || m.Admission.QueueDepth == 0 {
-		t.Fatalf("admission config missing from metrics: %+v", m.Admission)
+	if mustSample(t, m, "symtago_admission_max_clients") == 0 ||
+		mustSample(t, m, "symtago_admission_queue_depth") == 0 {
+		t.Fatal("admission config missing from metrics")
 	}
 }

@@ -268,58 +268,42 @@ func TestShardEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsHistory checks /v1/metrics accumulates per-tenant history
-// windows at the configured cadence.
+// TestMetricsHistory checks that per-tenant admission history can be
+// read off /metrics: the symtago_tenant_* counters are monotonic, so
+// the delta between two scrapes is exactly the window's activity,
+// attributed to the X-Tenant that made it.
 func TestMetricsHistory(t *testing.T) {
-	srv := mustServer(t, Config{Workers: 1, MetricsWindow: 20 * time.Millisecond})
+	srv := mustServer(t, Config{Workers: 1})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { hs.Close(); srv.Close() })
 
-	req, err := http.NewRequest("POST", hs.URL+"/v1/analyze", strings.NewReader(testSpec(t, 2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(TenantHeader, "oem-a")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("analyze: status %d", resp.StatusCode)
-	}
-
-	time.Sleep(30 * time.Millisecond)
-	var metrics MetricsResponse
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		status, data := do(t, "GET", hs.URL+"/v1/metrics", "")
-		if status != http.StatusOK {
-			t.Fatalf("metrics: status %d", status)
+	analyze := func(tenant string) {
+		t.Helper()
+		req, err := http.NewRequest("POST", hs.URL+"/v1/analyze", strings.NewReader(testSpec(t, 2)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := json.Unmarshal(data, &metrics); err != nil {
-			t.Fatalf("decode: %v", err)
+		req.Header.Set(TenantHeader, tenant)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(metrics.History) > 0 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	if len(metrics.History) == 0 {
-		t.Fatal("no history window captured")
-	}
-	found := false
-	for _, w := range metrics.History {
-		if w.Start == "" || w.End == "" {
-			t.Fatalf("window missing timestamps: %+v", w)
-		}
-		for _, tw := range w.Tenants {
-			if tw.Tenant == "oem-a" && tw.Requests >= 1 {
-				found = true
-			}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("analyze: status %d", resp.StatusCode)
 		}
 	}
-	if !found {
-		t.Fatalf("tenant oem-a not attributed in history: %+v", metrics.History)
+	const series = `symtago_tenant_requests_total{tenant="oem-a"}`
+	analyze("oem-a")
+	before := mustSample(t, scrapeProm(t, hs.URL), series)
+	analyze("oem-a")
+	analyze("oem-a")
+	analyze("oem-b")
+	after := scrapeProm(t, hs.URL)
+	if d := mustSample(t, after, series) - before; d != 2 {
+		t.Fatalf("oem-a window delta %v, want 2", d)
+	}
+	if n := mustSample(t, after, `symtago_tenant_requests_total{tenant="oem-b"}`); n != 1 {
+		t.Fatalf("oem-b total %v, want 1", n)
 	}
 }

@@ -121,9 +121,10 @@ func (s *Server) handleSlowest(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePromMetrics serves GET /metrics in the Prometheus text
-// exposition format — the same counters as the JSON /v1/metrics plus
-// the shard and trace families, emitted in a fixed family order with
-// sorted label sets so consecutive scrapes diff cleanly.
+// exposition format — the service's one metrics surface: per-route
+// requests and latency, admission, tenants, cache tiers, sessions,
+// shards, campaign jobs and traces, emitted in a fixed family order
+// with sorted label sets so consecutive scrapes diff cleanly.
 func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := obs.NewProm(w)
