@@ -2,16 +2,12 @@ package repro_test
 
 import (
 	"context"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
-	"repro/internal/cache"
-	"repro/internal/cacheserver"
 	"repro/internal/campaign"
 	"repro/internal/can"
-	"repro/internal/contenthash"
 	"repro/internal/core"
 	"repro/internal/distrib"
 	"repro/internal/errormodel"
@@ -948,98 +944,6 @@ func BenchmarkDistribCampaign(b *testing.B) {
 			}
 		})
 	}
-}
-
-// ---------------------------------------------------------------------
-// BenchmarkRemoteCache measures the fleet-tier client against a real
-// in-process cacheserver on its three characteristic paths: hit (one
-// HTTP round trip plus record verify + decode), miss (a 404 probe, the
-// cold-corpus steady state), and degraded (breaker open — every Get a
-// local fast-fail with zero network traffic). The degraded ns/op is
-// the price a dead fleet tier adds to every lookup; it must stay
-// orders of magnitude below recomputation, which is what makes
-// -remote-cache safe to leave on everywhere.
-// ---------------------------------------------------------------------
-
-func BenchmarkRemoteCache(b *testing.B) {
-	newServerURL := func(b *testing.B) string {
-		b.Helper()
-		disk, err := cache.NewDisk(b.TempDir(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ts := httptest.NewServer(cacheserver.New(disk).Handler())
-		b.Cleanup(ts.Close)
-		return ts.URL
-	}
-	key := func(x uint64) contenthash.Digest {
-		h := contenthash.New(41)
-		h.Word(x)
-		return h.Sum()
-	}
-	dial := func(b *testing.B, cfg cache.RemoteConfig) *cache.Remote {
-		b.Helper()
-		if cfg.Backoff == 0 {
-			cfg.Backoff = time.Millisecond
-		}
-		r, err := cache.NewRemote(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(r.Close)
-		return r
-	}
-	value := &rta.Result{Priority: 3, C: 130 * time.Microsecond, WCRT: 2 * time.Millisecond}
-
-	b.Run("hit", func(b *testing.B) {
-		url := newServerURL(b)
-		w := dial(b, cache.RemoteConfig{BaseURL: url})
-		w.Put(key(1), value)
-		w.Close() // flush the write-behind queue before measuring
-		r := dial(b, cache.RemoteConfig{BaseURL: url})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, ok := r.Get(key(1)); !ok {
-				b.Fatal("miss on a warmed key")
-			}
-		}
-	})
-	b.Run("miss", func(b *testing.B) {
-		r := dial(b, cache.RemoteConfig{BaseURL: newServerURL(b)})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, ok := r.Get(key(uint64(i) + 1000)); ok {
-				b.Fatal("hit on a never-stored key")
-			}
-		}
-	})
-	b.Run("degraded", func(b *testing.B) {
-		// A dead peer behind an immediately-tripped breaker with an
-		// effectively infinite cooldown: after the first failure every
-		// Get degrades locally without touching the network.
-		ft := &cache.FaultyTransport{Sched: cache.Always(cache.FaultError)}
-		r := dial(b, cache.RemoteConfig{
-			BaseURL: newServerURL(b), Retries: -1,
-			BreakerFailures: 1, BreakerCooldown: time.Hour,
-			Client: &http.Client{Transport: ft},
-		})
-		r.Get(key(1)) // trip the breaker
-		if rs := r.RemoteStats(); rs.Breaker != cache.BreakerOpen {
-			b.Fatalf("breaker %s after a dead-peer Get, want open", rs.Breaker)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, ok := r.Get(key(uint64(i))); ok {
-				b.Fatal("hit through an open breaker")
-			}
-		}
-		b.StopTimer()
-		rs := r.RemoteStats()
-		if got := ft.Injected(); got > 2 {
-			b.Fatalf("open breaker let %d requests reach the network", got)
-		}
-		b.ReportMetric(float64(rs.Degraded)/float64(b.N), "degraded/op")
-	})
 }
 
 // ---------------------------------------------------------------------

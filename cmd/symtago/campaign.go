@@ -40,7 +40,6 @@ func cmdCampaign(args []string) error {
 	shardTimeout := fs.Duration("shard-timeout", 0, "per-attempt shard deadline (0 = 2m)")
 	cacheDir := fs.String("cache-dir", "", "local runs: on-disk second-level result cache (empty = memory only)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "disk cache budget in bytes (0 = 256 MiB)")
-	remoteCache := remoteCacheFlag(fs)
 	traceOut := fs.String("trace-out", "", "record the whole run at full rate and write Chrome trace_event JSON here")
 	flightN := fs.Int("flight", 0, "keep the N slowest scenarios' span trees; SIGQUIT dumps them as JSON to stderr (0 = off)")
 	if err := parseFlags(fs, args); err != nil {
@@ -83,17 +82,12 @@ func cmdCampaign(args []string) error {
 		Seeds:    *seeds,
 		Duration: *duration,
 	}
-	store, disk, remote, err := sharedCache(*cacheDir, *cacheBytes, *remoteCache)
+	disk, err := sharedCache(*cacheDir, *cacheBytes)
 	if err != nil {
 		return fmt.Errorf("campaign: cache: %w", err)
 	}
-	if store != nil {
-		cfg.Cache = store
-	}
-	if remote != nil {
-		// Close flushes the write-behind queue, so a one-shot campaign's
-		// results reach the fleet before the process exits.
-		defer remote.Close()
+	if disk != nil {
+		cfg.Cache = disk
 	}
 
 	// -trace-out records this one run at full rate into a standalone
@@ -158,11 +152,6 @@ func cmdCampaign(args []string) error {
 		st := disk.Stats()
 		fmt.Printf("disk cache: %d entries, %d B, %d hits / %d misses\n",
 			st.Entries, st.Bytes, st.Hits, st.Misses)
-	}
-	if remote != nil {
-		rs := remote.RemoteStats()
-		fmt.Printf("remote cache: %d hits / %d misses, %d errors, breaker %s\n",
-			rs.Hits, rs.Misses, rs.Errors, rs.Breaker)
 	}
 	fmt.Println(rep.Render())
 	fmt.Printf("wall time %v\n", time.Since(start).Round(time.Millisecond))

@@ -28,35 +28,14 @@ func workersFlag(fs *flag.FlagSet) *int {
 	return fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 }
 
-// remoteCacheFlag registers the uniform -remote-cache flag.
-func remoteCacheFlag(fs *flag.FlagSet) *string {
-	return fs.String("remote-cache", "", "cacheserver base URL for the fleet-shared result tier (empty = off)")
-}
-
-// sharedCache composes the process's shared second-level store from
-// the -cache-dir/-cache-bytes/-remote-cache flags: local disk alone,
-// remote alone, or disk over remote (an L2/L3 stack — remote hits are
-// promoted onto the local disk). All three returns may be nil when
-// both flags are empty; the caller must Close a non-nil remote to
-// flush its write-behind queue.
-func sharedCache(cacheDir string, cacheBytes int64, remoteURL string) (store cache.Store, disk *cache.Disk, remote *cache.Remote, err error) {
-	if cacheDir != "" {
-		if disk, err = cache.NewDisk(cacheDir, cacheBytes); err != nil {
-			return nil, nil, nil, err
-		}
-		store = disk
+// sharedCache opens the process's shared second-level store from the
+// -cache-dir/-cache-bytes flags: a nil disk (memory only) when
+// cacheDir is empty.
+func sharedCache(cacheDir string, cacheBytes int64) (*cache.Disk, error) {
+	if cacheDir == "" {
+		return nil, nil
 	}
-	if remoteURL != "" {
-		if remote, err = cache.NewRemote(cache.RemoteConfig{BaseURL: remoteURL}); err != nil {
-			return nil, nil, nil, err
-		}
-		if disk != nil {
-			store = cache.NewTiered(disk, remote)
-		} else {
-			store = remote
-		}
-	}
-	return store, disk, remote, nil
+	return cache.NewDisk(cacheDir, cacheBytes)
 }
 
 // splitAddrs parses a comma-separated -workers-addr value into the

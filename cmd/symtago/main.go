@@ -21,23 +21,19 @@
 //	                 [-duration d] [-csv file] [-corpus file] [-quick]
 //	                 [-workers-addr urls] [-shard n] [-pipeline-depth n]
 //	                 [-shard-timeout d]
-//	                 [-cache-dir dir] [-cache-bytes n] [-remote-cache url]
+//	                 [-cache-dir dir] [-cache-bytes n]
 //	                 [-trace-out file] [-flight n]
 //	symtago serve    [-addr host:port] [-workers n] [-cache n] [-ttl d]
 //	                 [-max-clients n] [-queue-depth n] [-tenant-rate r]
 //	                 [-tenant-quota n] [-request-timeout d] [-drain-timeout d]
 //	                 [-checkpoint-dir dir] [-cache-dir dir] [-cache-bytes n]
-//	                 [-remote-cache url]
 //	                 [-workers-addr urls] [-shard n] [-pipeline-depth n]
 //	                 [-shard-timeout d]
 //	                 [-trace-sample f] [-trace-buffer n]
 //	                 [-flight n] [-pprof-addr host:port]
 //	                 [-selftest [-clients n] [-revisions n] [-seed n] [-tenants n]]
 //	symtago worker   [-addr host:port] [-workers n] [-cache-dir dir]
-//	                 [-cache-bytes n] [-remote-cache url]
-//	                 [-pprof-addr host:port]
-//	symtago cacheserver [-addr host:port] -cache-dir dir [-cache-bytes n]
-//	                 [-pprof-addr host:port]
+//	                 [-cache-bytes n] [-pprof-addr host:port]
 //
 // A missing -kmatrix selects the built-in synthetic power-train matrix
 // (the case-study substitute documented in DESIGN.md).
@@ -95,8 +91,6 @@ func main() {
 		err = cmdServe(os.Args[2:])
 	case "worker":
 		err = cmdWorker(os.Args[2:])
-	case "cacheserver":
-		err = cmdCacheServer(os.Args[2:])
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -178,7 +172,6 @@ commands:
   campaign     population-scale scenario corpus study (analysis + netsim + what-if)
   serve        long-running HTTP/JSON analysis service with persistent sessions
   worker       shard worker executing campaign ranges for a remote coordinator
-  cacheserver  fleet-shared content-addressed result cache over HTTP
 
 exit codes: 0 success, 1 runtime failure, 2 usage error`)
 }

@@ -33,7 +33,6 @@ func cmdServe(args []string) error {
 	reqTimeout := fs.Duration("request-timeout", 0, "per-request budget incl. queueing (0 = 30s)")
 	cacheDir := fs.String("cache-dir", "", "on-disk second-level result cache (empty = memory only)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "disk cache budget in bytes (0 = 256 MiB)")
-	remoteCache := remoteCacheFlag(fs)
 	workersAddr := fs.String("workers-addr", "", "comma-separated worker base URLs; campaigns fan out over them")
 	shardSize := fs.Int("shard", 0, "scenarios per distributed shard (0 = 256)")
 	pipelineDepth := fs.Int("pipeline-depth", 0, "in-flight shards per worker (0 = 2; 1 disables pipelining)")
@@ -64,7 +63,6 @@ func cmdServe(args []string) error {
 		RequestTimeout: *reqTimeout,
 		CacheDir:       *cacheDir,
 		CacheMaxBytes:  *cacheBytes,
-		RemoteCache:    *remoteCache,
 		WorkerAddrs:    splitAddrs(*workersAddr),
 		ShardSize:      *shardSize,
 		PipelineDepth:  *pipelineDepth,

@@ -27,7 +27,6 @@ func cmdWorker(args []string) error {
 	workers := workersFlag(fs)
 	cacheDir := fs.String("cache-dir", "", "on-disk second-level result cache (empty = memory only)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "disk cache budget in bytes (0 = 256 MiB)")
-	remoteCache := remoteCacheFlag(fs)
 	pprofAddr := fs.String("pprof-addr", "", "expose net/http/pprof on this extra address (empty = off)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -35,17 +34,12 @@ func cmdWorker(args []string) error {
 	startPprof("worker", *pprofAddr)
 
 	wcfg := distrib.WorkerConfig{Workers: *workers}
-	store, disk, remote, err := sharedCache(*cacheDir, *cacheBytes, *remoteCache)
+	disk, err := sharedCache(*cacheDir, *cacheBytes)
 	if err != nil {
 		return fmt.Errorf("worker: cache: %w", err)
 	}
-	if store != nil {
-		wcfg.Cache = store
-	}
-	if remote != nil {
-		// Close flushes the write-behind queue so results computed on
-		// this worker reach the fleet tier before the process exits.
-		defer remote.Close()
+	if disk != nil {
+		wcfg.Cache = disk
 	}
 	worker := distrib.NewWorker(wcfg)
 	hs := &http.Server{
@@ -83,11 +77,6 @@ func cmdWorker(args []string) error {
 			st := disk.Stats()
 			fmt.Printf("symtago worker: disk cache %d entries, %d B, %d hits / %d misses\n",
 				st.Entries, st.Bytes, st.Hits, st.Misses)
-		}
-		if remote != nil {
-			rs := remote.RemoteStats()
-			fmt.Printf("symtago worker: remote cache %d hits / %d misses, %d errors, breaker %s\n",
-				rs.Hits, rs.Misses, rs.Errors, rs.Breaker)
 		}
 		return nil
 	}

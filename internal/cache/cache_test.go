@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -129,6 +130,43 @@ func TestCodecRefusals(t *testing.T) {
 		if _, err := Decode(payload[:n]); err == nil {
 			t.Fatalf("Decode accepted a %d/%d-byte truncation", n, len(payload))
 		}
+	}
+}
+
+// TestCodecMinElementLens pins the per-element minimums the decoder
+// checks length prefixes against to the encoder's actual layout: one
+// zero-valued element (empty strings) adds exactly that many bytes.
+func TestCodecMinElementLens(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		none, one  any
+		minElemLen int
+	}{
+		{"rta", &rta.Report{}, &rta.Report{Results: make([]rta.Result, 1)}, minRTAResultLen},
+		{"osek", &osek.Report{}, &osek.Report{Results: make([]osek.Result, 1)}, minOSEKResultLen},
+		{"tdma", &tdma.Report{}, &tdma.Report{Results: make([]tdma.Result, 1)}, minTDMAResultLen},
+		{"gateway", &gateway.Report{}, &gateway.Report{Flows: make([]gateway.FlowResult, 1)}, minFlowLen},
+	} {
+		none, _ := Encode(tc.none)
+		one, _ := Encode(tc.one)
+		if got := len(one) - len(none); got != tc.minElemLen {
+			t.Errorf("%s: one element encodes to %d bytes, decoder assumes %d", tc.name, got, tc.minElemLen)
+		}
+	}
+}
+
+// TestDecodeLengthBomb: a length prefix claiming more elements than the
+// payload holds fails before the decoder sizes a slice for it.
+func TestDecodeLengthBomb(t *testing.T) {
+	bomb := []byte{typeRTAReport, 0xFF, 0xFF, 0x0F, 0x00}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Decode(bomb); err == nil {
+		t.Fatal("Decode accepted a 5-byte report claiming 1M results")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+		t.Fatalf("decoding a 5-byte payload allocated %d bytes", grew)
 	}
 }
 

@@ -40,9 +40,15 @@ const (
 	errBurst    byte = 3
 )
 
-// maxDecodeLen bounds decoded string/slice lengths: a corrupt length
-// prefix must read as a decode error, not an allocation bomb.
-const maxDecodeLen = 1 << 20
+// Smallest encoded size, in bytes, of one slice element per report
+// type (every string empty). A length prefix is checked against them,
+// so a corrupt prefix reads as a decode error, not an allocation bomb.
+const (
+	minRTAResultLen  = 122
+	minOSEKResultLen = 119
+	minTDMAResultLen = 90
+	minFlowLen       = 38
+)
 
 // Encode serializes a cacheable value into its versioned payload. The
 // second result is false for values the wire format does not carry
@@ -325,17 +331,20 @@ func (d *decoder) dur() time.Duration { return time.Duration(d.i64()) }
 func (d *decoder) f64() float64       { return math.Float64frombits(d.u64()) }
 func (d *decoder) bool() bool         { return d.u8() != 0 }
 
-func (d *decoder) len() int {
+// len reads a length prefix counting elements of at least minSize
+// encoded bytes each; a count the rest of the payload cannot hold
+// fails before anything is allocated for it.
+func (d *decoder) len(minSize int) int {
 	n := d.u32()
-	if n > maxDecodeLen {
-		d.fail("length %d exceeds limit", n)
+	if rest := len(d.b) - d.off; uint64(n)*uint64(minSize) > uint64(rest) {
+		d.fail("length %d exceeds the %d bytes left", n, rest)
 		return 0
 	}
 	return int(n)
 }
 
 func (d *decoder) str() string {
-	return string(d.take(d.len()))
+	return string(d.take(d.len(1)))
 }
 
 func (d *decoder) model() eventmodel.Model {
@@ -407,7 +416,7 @@ func (d *decoder) rtaResult() rta.Result {
 }
 
 func (d *decoder) rtaReport() *rta.Report {
-	n := d.len()
+	n := d.len(minRTAResultLen)
 	rep := &rta.Report{}
 	if d.err == nil && n > 0 {
 		rep.Results = make([]rta.Result, 0, n)
@@ -434,7 +443,7 @@ func (d *decoder) osekTask() osek.Task {
 }
 
 func (d *decoder) osekReport() *osek.Report {
-	n := d.len()
+	n := d.len(minOSEKResultLen)
 	rep := &osek.Report{}
 	if d.err == nil && n > 0 {
 		rep.Results = make([]osek.Result, 0, n)
@@ -456,7 +465,7 @@ func (d *decoder) osekReport() *osek.Report {
 }
 
 func (d *decoder) tdmaReport() *tdma.Report {
-	n := d.len()
+	n := d.len(minTDMAResultLen)
 	rep := &tdma.Report{}
 	if d.err == nil && n > 0 {
 		rep.Results = make([]tdma.Result, 0, n)
@@ -488,7 +497,7 @@ func (d *decoder) gatewayReport() *gateway.Report {
 		Overflow:      d.bool(),
 		Delay:         d.dur(),
 	}
-	n := d.len()
+	n := d.len(minFlowLen)
 	if d.err == nil && n > 0 {
 		rep.Flows = make([]gateway.FlowResult, 0, n)
 	}

@@ -130,9 +130,9 @@ func (d *Disk) drop(path string, size int64) {
 	d.mu.Unlock()
 }
 
-// recordPayload validates a record's framing (magic, version, length,
-// crc) and returns the codec payload.
-func recordPayload(raw []byte) ([]byte, error) {
+// decodeRecord validates a record's framing (magic, version, length,
+// crc) and decodes the codec payload.
+func decodeRecord(raw []byte) (any, error) {
 	if len(raw) < diskHeaderLen {
 		return nil, fmt.Errorf("cache: record truncated at %d bytes", len(raw))
 	}
@@ -151,41 +151,7 @@ func recordPayload(raw []byte) ([]byte, error) {
 	if got := crc32.ChecksumIEEE(payload); got != crc {
 		return nil, fmt.Errorf("cache: record crc %#x, want %#x", got, crc)
 	}
-	return payload, nil
-}
-
-// decodeRecord validates the header and crc and decodes the payload.
-func decodeRecord(raw []byte) (any, error) {
-	payload, err := recordPayload(raw)
-	if err != nil {
-		return nil, err
-	}
 	return Decode(payload)
-}
-
-// VerifyRecord validates a record's framing — magic, version, length
-// and payload crc — without decoding the payload. The remote tier uses
-// it on both ends of the wire: a record that fails is quarantined (read
-// as a miss), never trusted.
-func VerifyRecord(rec []byte) error {
-	_, err := recordPayload(rec)
-	return err
-}
-
-// DecodeRecord fully validates a record (framing plus codec payload)
-// and returns the value it carries.
-func DecodeRecord(rec []byte) (any, error) { return decodeRecord(rec) }
-
-// EncodeRecord frames value as a self-contained versioned record — the
-// exact bytes Disk persists and the cacheserver wire carries. ok is
-// false for values the codec does not carry; such values stay
-// in-process.
-func EncodeRecord(value any) ([]byte, bool) {
-	payload, ok := Encode(value)
-	if !ok {
-		return nil, false
-	}
-	return encodeRecord(payload), true
 }
 
 // encodeRecord frames a codec payload with the header and crc.
@@ -215,59 +181,6 @@ func (d *Disk) Put(key contenthash.Digest, value any) {
 		return
 	}
 	d.writeRecord(path, encodeRecord(payload))
-}
-
-// GetRecord returns the raw validated record bytes stored under key —
-// the server side of the remote tier, which passes records through
-// byte-for-byte instead of decoding them. Framing and crc are verified
-// before the bytes leave the store; an invalid record is quarantined
-// exactly as in Get.
-func (d *Disk) GetRecord(key contenthash.Digest) ([]byte, bool) {
-	path := d.path(key)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		d.mu.Lock()
-		d.misses++
-		d.mu.Unlock()
-		return nil, false
-	}
-	if _, err := recordPayload(raw); err != nil {
-		d.drop(path, int64(len(raw)))
-		return nil, false
-	}
-	d.mu.Lock()
-	d.hits++
-	d.mu.Unlock()
-	return raw, true
-}
-
-// PutRecord persists pre-framed record bytes under key, after verifying
-// the framing and crc (the caller is a wire peer; its bytes are never
-// trusted). An existing record is left alone.
-func (d *Disk) PutRecord(key contenthash.Digest, rec []byte) error {
-	if err := VerifyRecord(rec); err != nil {
-		return err
-	}
-	path := d.path(key)
-	if _, err := os.Stat(path); err == nil {
-		return nil
-	}
-	d.writeRecord(path, rec)
-	return nil
-}
-
-// HasRecord reports whether a valid record exists under key without
-// reading it past validation (the HEAD side of the remote protocol).
-func (d *Disk) HasRecord(key contenthash.Digest) bool {
-	raw, err := os.ReadFile(d.path(key))
-	if err != nil {
-		return false
-	}
-	if _, err := recordPayload(raw); err != nil {
-		d.drop(d.path(key), int64(len(raw)))
-		return false
-	}
-	return true
 }
 
 // writeRecord installs record bytes at path through a temp file and an

@@ -19,38 +19,6 @@ func (d Digest) String() string {
 	return string(out[:])
 }
 
-// ParseDigest parses the 32-hex-character form produced by String.
-// The second result is false for anything else — wrong length or a
-// non-hex byte.
-func ParseDigest(s string) (Digest, bool) {
-	var d Digest
-	if len(s) != 32 {
-		return Digest{}, false
-	}
-	for i := 0; i < 16; i++ {
-		hi, ok1 := hexVal(s[2*i])
-		lo, ok2 := hexVal(s[2*i+1])
-		if !ok1 || !ok2 {
-			return Digest{}, false
-		}
-		d[i] = hi<<4 | lo
-	}
-	return d, true
-}
-
-// hexVal decodes one lowercase-or-uppercase hex digit.
-func hexVal(c byte) (byte, bool) {
-	switch {
-	case c >= '0' && c <= '9':
-		return c - '0', true
-	case c >= 'a' && c <= 'f':
-		return c - 'a' + 10, true
-	case c >= 'A' && c <= 'F':
-		return c - 'A' + 10, true
-	}
-	return 0, false
-}
-
 // Lane-injection constants (odd, from the xxhash/splitmix family).
 const (
 	lane2Mult = 0xC2B2AE3D27D4EB4F

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -128,10 +129,17 @@ func decodeRow(rec []string) (Message, error) {
 	return m, nil
 }
 
+// microseconds parses a whole number of microseconds. Values whose
+// nanosecond count overflows a time.Duration are rejected rather than
+// wrapped into an unrelated duration.
 func microseconds(s string) (time.Duration, error) {
 	v, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {
 		return 0, err
+	}
+	const limit = math.MaxInt64 / int64(time.Microsecond)
+	if v > limit || v < -limit {
+		return 0, fmt.Errorf("%d µs is out of range", v)
 	}
 	return time.Duration(v) * time.Microsecond, nil
 }

@@ -26,12 +26,6 @@ type TracedStore struct {
 	l2Hits atomic.Uint64 // served by the second level
 	misses atomic.Uint64 // served by recomputation
 	puts   atomic.Uint64
-
-	// remote/remoteStart snapshot the fleet tier (when the inner stack
-	// has one) at construction, so Finish can emit the tier's counter
-	// movement over the traced window as a "cache.remote" span.
-	remote      *cache.Remote
-	remoteStart cache.RemoteStats
 }
 
 // NewTracedStore wraps s. A nil s returns nil, and the zero wrapper is
@@ -40,11 +34,7 @@ func NewTracedStore(s cache.Store) *TracedStore {
 	if s == nil {
 		return nil
 	}
-	t := &TracedStore{inner: s}
-	if t.remote = cache.RemoteOf(s); t.remote != nil {
-		t.remoteStart = t.remote.RemoteStats()
-	}
-	return t
+	return &TracedStore{inner: s}
 }
 
 // Inner returns the wrapped store.
@@ -134,25 +124,6 @@ func (t *TracedStore) Finish(tr *Trace, parent uint64) {
 			{Key: "misses", Value: utoa(miss)},
 		}
 		tr.record(s2)
-	}
-	if t.remote != nil {
-		// The fleet tier's counters are process-global, so concurrent
-		// traced requests overlap; the span reports the tier's movement
-		// during this operation's window, which is the useful signal
-		// (did the fleet serve us, and was the breaker in the way).
-		rs := t.remote.RemoteStats()
-		gets := rs.Gets - t.remoteStart.Gets
-		if gets > 0 || rs.Degraded > t.remoteStart.Degraded {
-			s3 := Span{ID: tr.newSpanID(), Parent: parent, Name: "cache.remote", Start: now}
-			s3.Attrs = []Attr{
-				{Key: "gets", Value: utoa(gets)},
-				{Key: "hits", Value: utoa(rs.Hits - t.remoteStart.Hits)},
-				{Key: "errors", Value: utoa(rs.Errors - t.remoteStart.Errors)},
-				{Key: "degraded", Value: utoa(rs.Degraded - t.remoteStart.Degraded)},
-				{Key: "breaker", Value: rs.Breaker.String()},
-			}
-			tr.record(s3)
-		}
 	}
 }
 

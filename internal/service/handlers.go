@@ -391,7 +391,7 @@ func (s *Server) handleCampaignCreate(w http.ResponseWriter, r *http.Request) {
 		Workers: s.cfg.Workers, Seeds: seeds, Duration: duration,
 		MaxIterations: s.cfg.MaxIterations,
 		// Local scenario runs stack their private LRUs on the server's
-		// shared disk/remote level; a distributed run strips Cache from
+		// shared disk level; a distributed run strips Cache from
 		// the wire and each worker brings its own. Flight, like Cache,
 		// is process-local and never travels — the recorder keeps the
 		// slowest scenarios for GET /v1/debug/slowest.

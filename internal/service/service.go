@@ -71,12 +71,6 @@ type Config struct {
 	// CacheMaxBytes bounds the disk level (<= 0 selects
 	// cache.DefaultDiskBytes).
 	CacheMaxBytes int64
-	// RemoteCache, when non-empty, is the base URL of a `symtago
-	// cacheserver` process composed under the local tiers as the
-	// fleet-shared third level. Like the disk level it never changes a
-	// response byte: remote failures degrade to local-only behind a
-	// circuit breaker, and every degraded answer is just a miss.
-	RemoteCache string
 
 	// WorkerAddrs, when non-empty, runs campaigns distributed: the
 	// server coordinates shards over these worker base URLs (symtago
@@ -147,10 +141,8 @@ func (c Config) withDefaults() Config {
 // expose with Handler.
 type Server struct {
 	cfg       Config
-	store     cache.Store   // session/analyze memo store (LRU, or Tiered over l2/remote)
-	l2        *cache.Disk   // nil unless CacheDir is configured
-	remote    *cache.Remote // nil unless RemoteCache is configured
-	shared    cache.Store   // the process-shared level under store (nil, l2, remote, or l2 over remote)
+	store     cache.Store // session/analyze memo store (LRU, or Tiered over shared)
+	shared    cache.Store // the process-shared disk level under store (nil without CacheDir)
 	reg       *whatif.Registry
 	metrics   *metrics
 	adm       *admission
@@ -172,29 +164,18 @@ type Server struct {
 // CacheDir cannot be opened.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	var l2 *cache.Disk
-	var remote *cache.Remote
 	var store cache.Store = whatif.NewStore(cfg.StoreCapacity)
+	var shared cache.Store // stays nil (memory only) without CacheDir
 	if cfg.CacheDir != "" {
-		var err error
-		if l2, err = cache.NewDisk(cfg.CacheDir, cfg.CacheMaxBytes); err != nil {
+		disk, err := cache.NewDisk(cfg.CacheDir, cfg.CacheMaxBytes)
+		if err != nil {
 			return nil, fmt.Errorf("service: cache dir: %w", err)
 		}
-	}
-	if cfg.RemoteCache != "" {
-		var err error
-		if remote, err = cache.NewRemote(cache.RemoteConfig{BaseURL: cfg.RemoteCache}); err != nil {
-			return nil, fmt.Errorf("service: remote cache: %w", err)
-		}
-	}
-	// The shared second level stacks local disk over the fleet tier
-	// (remote hits are promoted onto disk); the memo LRU sits on top.
-	// Composition by nesting keeps the pinned-stats contract: session
-	// counters see only primary-level hits, so responses stay
-	// byte-identical for any cache state.
-	shared := sharedLevel(l2, remote)
-	if shared != nil {
-		store = cache.NewTiered(store, shared)
+		// The memo LRU sits on top of the shared disk level. Session
+		// counters see only primary-level hits (the pinned-stats
+		// contract), so responses stay byte-identical for any cache state.
+		shared = disk
+		store = cache.NewTiered(store, disk)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	reg := whatif.NewRegistry(cfg.SessionTTL)
@@ -208,8 +189,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		store:     store,
-		l2:        l2,
-		remote:    remote,
 		shared:    shared,
 		reg:       reg,
 		metrics:   newMetrics(),
@@ -259,35 +238,14 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// sharedLevel composes the process-shared cache level from the
-// optional disk and remote tiers: disk alone, remote alone, disk over
-// remote, or nil — without ever boxing a typed nil into the interface.
-func sharedLevel(l2 *cache.Disk, remote *cache.Remote) cache.Store {
-	switch {
-	case l2 != nil && remote != nil:
-		return cache.NewTiered(l2, remote)
-	case l2 != nil:
-		return l2
-	case remote != nil:
-		return remote
-	}
-	return nil
-}
-
 // Handler returns the service's HTTP handler. Error responses that
 // escape the handlers (the mux's own 404/405) are rewritten into the
 // uniform JSON error body.
 func (s *Server) Handler() http.Handler { return jsonFallback(s.mux) }
 
-// Close cancels every running campaign job and flushes the remote
-// tier's write-behind queue. In-flight requests finish normally; the
-// owning http.Server handles connection shutdown.
-func (s *Server) Close() {
-	s.cancel()
-	if s.remote != nil {
-		s.remote.Close()
-	}
-}
+// Close cancels every running campaign job. In-flight requests finish
+// normally; the owning http.Server handles connection shutdown.
+func (s *Server) Close() { s.cancel() }
 
 // StartDraining flips the admission gate: every subsequent application
 // request is answered 503/draining while operational routes stay up.

@@ -188,9 +188,8 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Cache tiers: the shared analysis store's levels. A tiered store
-	// reports its levels — with a remote third tier the second level is
-	// itself tiered (disk over fleet), so its stats unnest one more
-	// step; a flat store is its own l1.
+	// (memo LRU over disk) reports both levels; a flat store is its own
+	// l1.
 	st := s.store.Stats()
 	tier := func(name string, cs cache.Stats) {
 		l := obs.Labels{"tier", name}
@@ -207,19 +206,11 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Family("symtago_cache_corrupt_total", "counter", "Cache records dropped as unreadable by tier.")
 	p.Family("symtago_cache_entries", "gauge", "Resident cache entries by tier.")
 	p.Family("symtago_cache_bytes", "gauge", "Resident cache bytes by tier (disk tier only).")
-	switch {
-	case st.L1 != nil && st.L2 != nil && st.L2.L1 != nil && st.L2.L2 != nil:
-		tier("l1", *st.L1)
-		tier("l2", *st.L2.L1)
-		tier("remote", *st.L2.L2)
-	case st.L1 != nil && st.L2 != nil:
+	if st.L1 != nil && st.L2 != nil {
 		tier("l1", *st.L1)
 		tier("l2", *st.L2)
-	default:
+	} else {
 		tier("l1", st)
-	}
-	if s.remote != nil {
-		s.promRemote(p)
 	}
 
 	reg := s.reg.Stats()
@@ -275,39 +266,4 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Uint("symtago_traces_retained", nil, uint64(s.collector.Len()))
 	p.Family("symtago_flight_offered_total", "counter", "Operations offered to the flight recorder.")
 	p.Uint("symtago_flight_offered_total", nil, s.flight.Offered())
-}
-
-// promRemote emits the fleet-tier client families: lookup outcomes,
-// the write-behind pipeline, the circuit breaker's state and history,
-// and the fetch-latency histogram.
-func (s *Server) promRemote(p *obs.Prom) {
-	rs := s.remote.RemoteStats()
-	p.Family("symtago_remote_cache_gets_total", "counter", "Lookups reaching the remote tier.")
-	p.Uint("symtago_remote_cache_gets_total", nil, rs.Gets)
-	p.Family("symtago_remote_cache_errors_total", "counter", "Remote transport failures and unexpected statuses.")
-	p.Uint("symtago_remote_cache_errors_total", nil, rs.Errors)
-	p.Family("symtago_remote_cache_retries_total", "counter", "Remote fetch re-attempts after a failure.")
-	p.Uint("symtago_remote_cache_retries_total", nil, rs.Retries)
-	p.Family("symtago_remote_cache_degraded_total", "counter", "Lookups answered all-miss because the breaker was open.")
-	p.Uint("symtago_remote_cache_degraded_total", nil, rs.Degraded)
-	p.Family("symtago_remote_cache_collapsed_total", "counter", "Concurrent duplicate lookups folded into another flight's fetch.")
-	p.Uint("symtago_remote_cache_collapsed_total", nil, rs.Collapsed)
-	p.Family("symtago_remote_cache_puts_total", "counter", "Write-behind PUTs by outcome.")
-	p.Uint("symtago_remote_cache_puts_total", obs.Labels{"outcome", "queued"}, rs.PutsQueued)
-	p.Uint("symtago_remote_cache_puts_total", obs.Labels{"outcome", "sent"}, rs.PutsSent)
-	p.Uint("symtago_remote_cache_puts_total", obs.Labels{"outcome", "dropped"}, rs.PutsDropped)
-	p.Uint("symtago_remote_cache_puts_total", obs.Labels{"outcome", "error"}, rs.PutErrors)
-	p.Family("symtago_remote_cache_put_queue_len", "gauge", "Current write-behind backlog.")
-	p.Uint("symtago_remote_cache_put_queue_len", nil, uint64(rs.QueueLen))
-	p.Family("symtago_remote_cache_breaker_state", "gauge", "Circuit breaker state (0 closed, 1 half-open, 2 open).")
-	p.Uint("symtago_remote_cache_breaker_state", nil, uint64(rs.Breaker))
-	p.Family("symtago_remote_cache_breaker_opens_total", "counter", "Closed-to-open breaker transitions.")
-	p.Uint("symtago_remote_cache_breaker_opens_total", nil, rs.BreakerOpens)
-	lb := cache.RemoteLatencyBounds()
-	bounds := make([]float64, len(lb))
-	for i, b := range lb {
-		bounds[i] = b.Seconds()
-	}
-	p.Family("symtago_remote_cache_fetch_seconds", "histogram", "Remote fetch latency (one observation per served lookup).")
-	p.Histogram("symtago_remote_cache_fetch_seconds", nil, bounds, rs.LatencyBuckets, float64(rs.LatencySumNS)/1e9)
 }

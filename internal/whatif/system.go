@@ -307,7 +307,7 @@ func (s *SystemSession) analyzeLocal(a *core.Analysis) error {
 		a.BusReports[b.name] = rep
 	}
 	// Whole-resource reports below do consult the shared second level —
-	// they are the unit of recomputation, so a remote hit replaces the
+	// they are the unit of recomputation, so a second-level hit replaces the
 	// analysis one-for-one. As in countingCache, only a primary hit is
 	// counted as a ReportHit; an L2 hit is charged like the
 	// recomputation it replaced.

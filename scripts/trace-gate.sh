@@ -24,7 +24,12 @@ w1_addr=127.0.0.1:8573
 w2_addr=127.0.0.1:8574
 work=$(mktemp -d)
 cleanup() {
-  kill "$(jobs -p)" >/dev/null 2>&1 || true
+  # One kill per job: a quoted "$(jobs -p)" joins the PIDs into a
+  # single argument that kill rejects, leaving the workers running.
+  for p in $(jobs -p); do
+    kill "$p" >/dev/null 2>&1 || true
+  done
+  wait >/dev/null 2>&1 || true
   rm -rf "$work"
 }
 trap cleanup EXIT
